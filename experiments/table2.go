@@ -54,7 +54,7 @@ func Table2(p Params) (*Table2Result, error) {
 			paths = append(paths, ps...)
 		}
 	}
-	cr, err := controller.CompileRouting(sched, paths, controller.CompileOptions{
+	cr, err := controller.CompileRouting(ix, paths, controller.CompileOptions{
 		Lookup: core.LookupSource, Multipath: core.MultipathPacket,
 	})
 	if err != nil {

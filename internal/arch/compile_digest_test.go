@@ -17,10 +17,9 @@ import (
 )
 
 // goldenDigests pins every compiled time-flow table the arch builders
-// install. Each line is "<case> <sha256> <entries>". The goldens were
-// produced by the compile pipeline before its cost-model rewrite; a
-// change to routing generation, table compilation or install that moves
-// a single entry, action, weight or source route shows up here.
+// install. Each line is "<case> <sha256> <entries>". A change to routing
+// generation, table compilation or install that moves a single entry,
+// action, weight or source route fails here.
 const goldenDigests = "../../testdata/compile/digests.txt"
 
 // tableDigest hashes every switch's table in Entries() order: priority,

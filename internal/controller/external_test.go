@@ -16,7 +16,7 @@ func TestExternalPortHops(t *testing.T) {
 	// destination directly.
 	ok := core.Path{Src: 0, Dst: 3, TS: core.WildcardSlice, Weight: 1,
 		Hops: []core.Hop{{Node: 0, Egress: 9, DepSlice: core.WildcardSlice}}}
-	cr, err := CompileRouting(sched, []core.Path{ok}, CompileOptions{
+	cr, err := CompileRouting(core.NewConnIndex(sched), []core.Path{ok}, CompileOptions{
 		Lookup: core.LookupHop, ExternalPort: isElec})
 	if err != nil {
 		t.Fatal(err)
@@ -30,12 +30,12 @@ func TestExternalPortHops(t *testing.T) {
 			{Node: 0, Egress: 9, DepSlice: core.WildcardSlice},
 			{Node: 3, Egress: 9, DepSlice: core.WildcardSlice},
 		}}
-	if _, err := CompileRouting(sched, []core.Path{bad}, CompileOptions{
+	if _, err := CompileRouting(core.NewConnIndex(sched), []core.Path{bad}, CompileOptions{
 		Lookup: core.LookupHop, ExternalPort: isElec}); err == nil {
 		t.Fatal("mid-path external hop accepted")
 	}
 	// Without the ExternalPort hook the same path is infeasible.
-	if _, err := CompileRouting(sched, []core.Path{ok}, CompileOptions{
+	if _, err := CompileRouting(core.NewConnIndex(sched), []core.Path{ok}, CompileOptions{
 		Lookup: core.LookupHop}); err == nil {
 		t.Fatal("external hop accepted without the hook")
 	}
@@ -59,7 +59,7 @@ func TestSourceRoutingMultipathGroup(t *testing.T) {
 		{Src: 0, Dst: 3, TS: 0, Weight: 0.5, Hops: []core.Hop{
 			{Node: 0, Egress: 1, DepSlice: 0}, {Node: 2, Egress: 1, DepSlice: 1}}},
 	}
-	cr, err := CompileRouting(sched, paths, CompileOptions{
+	cr, err := CompileRouting(core.NewConnIndex(sched), paths, CompileOptions{
 		Lookup: core.LookupSource, Multipath: core.MultipathPacket})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestSourceRoutingMultipathGroup(t *testing.T) {
 
 func TestCompileEmptyPaths(t *testing.T) {
 	sched := &core.Schedule{NumSlices: 1}
-	cr, err := CompileRouting(sched, nil, CompileOptions{Lookup: core.LookupHop})
+	cr, err := CompileRouting(core.NewConnIndex(sched), nil, CompileOptions{Lookup: core.LookupHop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCompileEmptyPaths(t *testing.T) {
 
 func TestCompileUnknownLookupMode(t *testing.T) {
 	sched := &core.Schedule{NumSlices: 1}
-	if _, err := CompileRouting(sched, nil, CompileOptions{Lookup: core.LookupMode(9)}); err == nil {
+	if _, err := CompileRouting(core.NewConnIndex(sched), nil, CompileOptions{Lookup: core.LookupMode(9)}); err == nil {
 		t.Fatal("unknown lookup mode accepted")
 	}
 }

@@ -178,7 +178,60 @@ func (t *Table) Len() int { return t.n }
 
 // Add installs an entry. It validates the entry and keeps per-destination
 // entry lists sorted by (priority desc, specificity desc, insertion order).
-func (t *Table) Add(e Entry) error {
+func (t *Table) Add(e Entry) error { return t.AddAll([]Entry{e}) }
+
+// AddAll installs es in order, exactly as that many Add calls would, but
+// stores the entries in es itself and allocates once per destination list
+// instead of once per entry. The table takes ownership of es: the caller
+// must not touch it afterwards. It validates every entry first and
+// installs nothing if any is invalid.
+func (t *Table) AddAll(es []Entry) error {
+	for i := range es {
+		if err := es[i].validate(); err != nil {
+			return err
+		}
+	}
+	if len(es) == 0 {
+		return nil
+	}
+	batch := es
+	// Group the batch per destination list, keeping batch order, in one
+	// backing array carved per list.
+	count := make(map[NodeID]int)
+	for i := range batch {
+		e := &batch[i]
+		e.seq = t.seq
+		t.seq++
+		e.precomputeWeights()
+		count[e.Match.Dst]++
+		if e.Match.Src != NoNode {
+			t.srcSensitive = true
+		}
+	}
+	t.n += len(batch)
+	lists := make(map[NodeID][]*Entry, len(count))
+	ptrs := make([]*Entry, len(batch))
+	for dst, c := range count {
+		lists[dst] = ptrs[:0:c]
+		ptrs = ptrs[c:]
+	}
+	for i := range batch {
+		e := &batch[i]
+		lists[e.Match.Dst] = append(lists[e.Match.Dst], e)
+	}
+	for dst, l := range lists {
+		if dst == NoNode {
+			t.anyDst = mergeSorted(t.anyDst, l)
+		} else {
+			t.byDst[dst] = mergeSorted(t.byDst[dst], l)
+		}
+	}
+	t.cache = nil
+	return nil
+}
+
+// validate checks an entry before it is installed.
+func (e *Entry) validate() error {
 	if len(e.Actions) == 0 {
 		return fmt.Errorf("timeflow: entry has no actions")
 	}
@@ -197,20 +250,6 @@ func (t *Table) Add(e Entry) error {
 	if len(e.Actions) > 1 && e.Mode == MultipathNone {
 		return fmt.Errorf("timeflow: %d actions but multipath mode none", len(e.Actions))
 	}
-	e.seq = t.seq
-	e.precomputeWeights()
-	t.seq++
-	t.n++
-	ep := &e
-	if e.Match.Dst == NoNode {
-		t.anyDst = insertSorted(t.anyDst, ep)
-	} else {
-		t.byDst[e.Match.Dst] = insertSorted(t.byDst[e.Match.Dst], ep)
-	}
-	if e.Match.Src != NoNode {
-		t.srcSensitive = true
-	}
-	t.cache = nil
 	return nil
 }
 
@@ -255,13 +294,28 @@ func (t *Table) Clear() {
 	t.srcSensitive = false
 }
 
-// insertSorted keeps the slice ordered best-first.
-func insertSorted(s []*Entry, e *Entry) []*Entry {
-	i := sort.Search(len(s), func(i int) bool { return entryLess(e, s[i]) })
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	return s
+// mergeSorted merges add into the best-first list cur. entryLess breaks
+// ties by insertion sequence, so it is a total order: sorting add and
+// merging gives the order one-by-one insertion would. add is reused as
+// the result when cur is empty.
+func mergeSorted(cur, add []*Entry) []*Entry {
+	sort.Slice(add, func(i, j int) bool { return entryLess(add[i], add[j]) })
+	if len(cur) == 0 {
+		return add
+	}
+	out := make([]*Entry, 0, len(cur)+len(add))
+	i, j := 0, 0
+	for i < len(cur) && j < len(add) {
+		if entryLess(add[j], cur[i]) {
+			out = append(out, add[j])
+			j++
+		} else {
+			out = append(out, cur[i])
+			i++
+		}
+	}
+	out = append(out, cur[i:]...)
+	return append(out, add[j:]...)
 }
 
 // entryLess reports whether a should be consulted before b.

@@ -349,7 +349,7 @@ func TestEarliestPathsProperty(t *testing.T) {
 			return false // rotor schedules always connect within a cycle
 		}
 		// Direct-path delivery offset for comparison.
-		dep, _, ok := earliestDirect(ix, src, dst, ts)
+		dep, _, ok := ix.EarliestDirect(src, dst, ts)
 		if !ok {
 			return false
 		}

@@ -126,13 +126,9 @@ func Direct(ix *core.ConnIndex, opt Options) []core.Path {
 	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
 		var out []core.Path
 		for ts := 0; ts < numSlices; ts++ {
-			for off := 0; off < numSlices; off++ {
-				dep := core.Slice((ts + off) % numSlices)
-				if eg, ok := ix.EgressPort(s, d, dep); ok {
-					out = append(out, core.Path{Src: s, Dst: d, TS: core.Slice(ts), Weight: 1,
-						Hops: []core.Hop{{Node: s, Egress: eg, DepSlice: dep}}})
-					break
-				}
+			if dep, eg, ok := ix.EarliestDirect(s, d, core.Slice(ts)); ok {
+				out = append(out, core.Path{Src: s, Dst: d, TS: core.Slice(ts), Weight: 1,
+					Hops: []core.Hop{{Node: s, Egress: eg, DepSlice: dep}}})
 			}
 		}
 		return out

@@ -16,50 +16,55 @@ import (
 // to dst is used as a one-hop path. Deploy with per-packet multipath to get
 // RotorNet's packet spraying.
 func VLB(ix *core.ConnIndex, opt Options) []core.Path {
+	nodes := ix.Nodes()
 	numSlices := ix.NumSlices()
-	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-		var out []core.Path
+	// Every circuit live at a source yields at most one path per
+	// destination, so this bounds the output and sizes it once.
+	bound := 0
+	for si := range nodes {
 		for ts := 0; ts < numSlices; ts++ {
-			arr := core.Slice(ts)
-			for _, c := range ix.Circuits(s, arr) {
-				w, _, ok := c.Other(s)
-				if !ok {
-					continue
-				}
-				eg, _ := c.LocalPort(s)
-				if w == d {
-					out = append(out, core.Path{Src: s, Dst: d, TS: arr, Weight: 1,
-						Hops: []core.Hop{{Node: s, Egress: eg, DepSlice: arr}}})
-					continue
-				}
-				// Phase 2: earliest direct circuit w->d at or after ts.
-				dep, eg2, ok := earliestDirect(ix, w, d, arr)
-				if !ok {
-					continue
-				}
-				out = append(out, core.Path{Src: s, Dst: d, TS: arr, Weight: 1,
-					Hops: []core.Hop{
-						{Node: s, Egress: eg, DepSlice: arr},
-						{Node: w, Egress: eg2, DepSlice: dep},
-					}})
-			}
-		}
-		sortPaths(out)
-		return out
-	})
-}
-
-// earliestDirect finds the first slice at or after ts with a direct circuit
-// from a to b, scanning at most one full cycle.
-func earliestDirect(ix *core.ConnIndex, a, b core.NodeID, ts core.Slice) (core.Slice, core.PortID, bool) {
-	numSlices := ix.NumSlices()
-	for off := 0; off < numSlices; off++ {
-		dep := core.Slice((int(ts) + off) % numSlices)
-		if eg, ok := ix.EgressPort(a, b, dep); ok {
-			return dep, eg, true
+			bound += len(ix.Links(si, core.Slice(ts)))
 		}
 	}
-	return 0, core.NoPort, false
+	out := make([]core.Path, 0, bound*(len(nodes)-1))
+	// Paths carve their hops from one array of at most two hops each.
+	arena := make([]core.Hop, 0, 2*cap(out))
+	hops := func(h ...core.Hop) []core.Hop {
+		lo := len(arena)
+		arena = append(arena, h...)
+		return arena[lo:len(arena):len(arena)]
+	}
+	var sorter pathSorter
+	for si, s := range nodes {
+		for di, d := range nodes {
+			if si == di {
+				continue
+			}
+			first := len(out)
+			for ts := 0; ts < numSlices; ts++ {
+				arr := core.Slice(ts)
+				for _, l := range ix.Links(si, arr) {
+					if int(l.Peer) == di {
+						out = append(out, core.Path{Src: s, Dst: d, TS: arr, Weight: 1,
+							Hops: hops(core.Hop{Node: s, Egress: l.Egress, DepSlice: arr})})
+						continue
+					}
+					// Phase 2: earliest direct circuit peer->d at or after ts.
+					dep, eg2, ok := ix.EarliestDirectAt(int(l.Peer), di, arr)
+					if !ok {
+						continue
+					}
+					out = append(out, core.Path{Src: s, Dst: d, TS: arr, Weight: 1,
+						Hops: hops(
+							core.Hop{Node: s, Egress: l.Egress, DepSlice: arr},
+							core.Hop{Node: nodes[l.Peer], Egress: eg2, DepSlice: dep},
+						)})
+				}
+			}
+			sorter.sort(out[first:])
+		}
+	}
+	return out
 }
 
 // Opera materializes Opera's routing: every slice topology is a k-regular
@@ -96,22 +101,18 @@ func Opera(ix *core.ConnIndex, opt Options) []core.Path {
 // Spreading over every minimum-cost path is what reduces RotorNet's
 // sensitivity to slice duration in the Fig. 10 study.
 func UCMP(ix *core.ConnIndex, opt Options) []core.Path {
-	numSlices := ix.NumSlices()
-	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-		var out []core.Path
-		for ts := 0; ts < numSlices; ts++ {
-			paths := EarliestPaths(ix, s, d, core.Slice(ts), opt)
-			if len(paths) == 0 {
-				continue
-			}
-			w := 1.0 / float64(len(paths))
-			for i := range paths {
-				paths[i].Weight = w
-			}
-			out = append(out, paths...)
+	var out []core.Path
+	earliestAllPairs(ix, opt, func(paths []core.Path) {
+		if len(paths) == 0 {
+			return
 		}
-		return out
+		w := 1.0 / float64(len(paths))
+		for i := range paths {
+			paths[i].Weight = w
+		}
+		out = append(out, paths...)
 	})
+	return out
 }
 
 // HOHO materializes hop-on hop-off routing: the single latency-optimal path
@@ -119,15 +120,9 @@ func UCMP(ix *core.ConnIndex, opt Options) []core.Path {
 // count. Packets "hop on" the earliest useful circuit and "hop off" at the
 // node from which the destination is soonest reachable.
 func HOHO(ix *core.ConnIndex, opt Options) []core.Path {
-	numSlices := ix.NumSlices()
 	o := opt
 	o.MaxPaths = 1
-	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-		var out []core.Path
-		for ts := 0; ts < numSlices; ts++ {
-			paths := EarliestPaths(ix, s, d, core.Slice(ts), o)
-			out = append(out, paths...)
-		}
-		return out
-	})
+	var out []core.Path
+	earliestAllPairs(ix, o, func(paths []core.Path) { out = append(out, paths...) })
+	return out
 }

@@ -267,28 +267,16 @@ func (s *Switch) offload(pkt *core.Packet, egress core.PortID, dep core.Slice) {
 }
 
 // earliestCircuit finds the first slice at or after arr with a direct
-// circuit to dst, scanning one full cycle.
+// circuit to dst.
 func (s *Switch) earliestCircuit(dst core.NodeID, arr core.Slice) (core.Slice, core.PortID, bool) {
 	if s.ix == nil {
 		return 0, core.NoPort, false
 	}
-	ns := s.ix.NumSlices()
-	if ns < 1 {
-		ns = 1
+	ts, eg, ok := s.ix.EarliestDirect(s.Cfg.ID, dst, arr)
+	if ok && !s.Cfg.calendarOn() {
+		ts = core.WildcardSlice
 	}
-	if arr.IsWildcard() {
-		arr = 0
-	}
-	for off := 0; off < ns; off++ {
-		ts := core.Slice((int(arr) + off) % ns)
-		if eg, ok := s.ix.EgressPort(s.Cfg.ID, dst, ts); ok {
-			if !s.Cfg.calendarOn() {
-				return core.WildcardSlice, eg, true
-			}
-			return ts, eg, true
-		}
-	}
-	return 0, core.NoPort, false
+	return ts, eg, ok
 }
 
 // ctrlIn receives messages from the management network.

@@ -25,6 +25,9 @@ type Net struct {
 
 	eng   *sim.Engine
 	sched *core.Schedule
+	// ix indexes sched's circuits; DeployTopo rebuilds it, and the
+	// switches and the routing compile share it.
+	ix *core.ConnIndex
 	// pool is the per-net packet slab pool every device on this Net
 	// allocates from; sinks (delivery, drops) recycle into it. Per-net
 	// rather than global so concurrent sweep jobs in one process never
@@ -103,6 +106,7 @@ func New(cfg Config) (*Net, error) {
 		syncModel: syncproto.NewModel(cfg.SyncErrorNs, cfg.Seed),
 		layers:    make(map[int]layer),
 	}
+	n.ix = core.NewConnIndex(n.sched)
 	if cfg.SyncErrorNs == 0 {
 		n.syncModel = nil
 	}
@@ -291,12 +295,12 @@ func (n *Net) DeployTopo(circuits []core.Circuit, numSlices int) error {
 	}
 	n.sched.NumSlices = numSlices
 	n.sched.Circuits = circuits
+	n.ix = core.NewConnIndex(n.sched)
 	if err := n.optical.ApplySchedule(n.sched); err != nil {
 		return err
 	}
-	ix := core.NewConnIndex(n.sched)
 	for _, sw := range n.switches {
-		sw.InstallConnIndex(ix)
+		sw.InstallConnIndex(n.ix)
 	}
 	return nil
 }
@@ -347,7 +351,7 @@ func (n *Net) rebuildTables() error {
 	merged := make(map[core.NodeID]*core.Table)
 	for _, p := range prios {
 		l := n.layers[p]
-		cr, err := controller.CompileRouting(n.sched, l.paths, controller.CompileOptions{
+		cr, err := controller.CompileRouting(n.ix, l.paths, controller.CompileOptions{
 			Lookup:       l.lookup,
 			Multipath:    l.mp,
 			Priority:     p,
@@ -356,16 +360,26 @@ func (n *Net) rebuildTables() error {
 		if err != nil {
 			return err
 		}
+		if len(prios) == 1 {
+			// One layer: re-adding its entries best-first into fresh
+			// tables would reproduce them in the same order, so install
+			// the compiled tables as they are.
+			merged = cr.Tables
+			break
+		}
 		for node, tab := range cr.Tables {
 			m := merged[node]
 			if m == nil {
 				m = core.NewTable()
 				merged[node] = m
 			}
-			for _, e := range tab.Entries() {
-				if err := m.Add(*e); err != nil {
-					return fmt.Errorf("openoptics: merging layer %d at N%d: %w", p, node, err)
-				}
+			es := tab.Entries()
+			batch := make([]core.Entry, len(es))
+			for i, e := range es {
+				batch[i] = *e
+			}
+			if err := m.AddAll(batch); err != nil {
+				return fmt.Errorf("openoptics: merging layer %d at N%d: %w", p, node, err)
 			}
 		}
 	}
