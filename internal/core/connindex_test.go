@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// refConnIndex is the map-and-scan index the dense ConnIndex replaced,
-// kept as the differential reference: per-slice adjacency maps, static
-// circuits merged into a fresh slice per query, and a cycle scan for the
-// earliest direct circuit.
+// refConnIndex is a map-and-scan index kept as the differential
+// reference for ConnIndex: per-slice adjacency maps, static circuits
+// merged into a fresh slice per query, and a cycle scan for the earliest
+// direct circuit.
 type refConnIndex struct {
 	numSlices int
 	bySlice   []map[NodeID][]Circuit

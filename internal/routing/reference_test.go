@@ -12,10 +12,10 @@ import (
 	"openoptics/internal/topo"
 )
 
-// This file keeps the routing code the cost-model rewrite replaced as
-// differential references: the fmt.Sprintf sort key, the map-based
-// per-destination time-expanded search, and the cycle-scanning VLB and
-// direct routing. The production code must reproduce them path for path.
+// This file keeps straightforward implementations as differential
+// references: the fmt.Sprintf sort key, a map-based time-expanded search
+// run once per destination, and cycle-scanning VLB and direct routing.
+// The production code must reproduce them path for path.
 
 func refPathKey(p *core.Path) string {
 	s := fmt.Sprintf("%d|%d|%d|", p.Src, p.Dst, p.TS)
