@@ -126,9 +126,10 @@ func digestCases() []digestCase {
 	}
 }
 
-func loadGoldenDigests(t *testing.T) map[string]string {
+// loadGoldens reads a "<case> <rest>" golden file into a map.
+func loadGoldens(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(goldenDigests)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func loadGoldenDigests(t *testing.T) map[string]string {
 		}
 		name, rest, ok := strings.Cut(line, " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", goldenDigests, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
 		out[name] = rest
 	}
@@ -155,7 +156,7 @@ func loadGoldenDigests(t *testing.T) map[string]string {
 // TestCompiledTableDigests rebuilds every architecture and compares the
 // digest of its installed tables with the committed golden.
 func TestCompiledTableDigests(t *testing.T) {
-	golden := loadGoldenDigests(t)
+	golden := loadGoldens(t, goldenDigests)
 	for _, c := range digestCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -185,7 +186,7 @@ func TestCompiledTableDigests(t *testing.T) {
 // TestGoldenDigestsCoverCases keeps the golden file and the case list in
 // step, so a renamed case cannot silently lose its pin.
 func TestGoldenDigestsCoverCases(t *testing.T) {
-	golden := loadGoldenDigests(t)
+	golden := loadGoldens(t, goldenDigests)
 	names := make(map[string]bool)
 	for _, c := range digestCases() {
 		names[c.name] = true
