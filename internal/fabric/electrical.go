@@ -69,8 +69,28 @@ func (f *ElectricalFabric) queueCap() int64 {
 	return 16 << 20
 }
 
-// Receive implements Device: route by destination node, enqueue, drain.
+// Arrival implements Pipelined: links schedule the enqueue step one
+// pipeline latency after a packet fully arrives.
+func (f *ElectricalFabric) Arrival() (int64, sim.Class, sim.Action) {
+	return f.PipelineDelay, sim.ClassFabricElec, (*elecEnqueue)(f)
+}
+
+// Receive implements Device for callers that hand the fabric a packet
+// directly: it schedules the same enqueue step a link would.
 func (f *ElectricalFabric) Receive(pkt *core.Packet, port core.PortID) {
+	d, class, act := f.Arrival()
+	f.eng.AfterEvent(d, class, act, pkt, int64(port))
+}
+
+// elecEnqueue is the post-pipeline step as a sim.Action: arg is the
+// packet, v the ingress port. The route lookup by destination node and
+// the drop-tail decision both happen here, when the packet leaves the
+// pipeline.
+type elecEnqueue ElectricalFabric
+
+func (a *elecEnqueue) RunEvent(arg any, _ int64) {
+	f := (*ElectricalFabric)(a)
+	pkt := arg.(*core.Packet)
 	fp, ok := f.byNode[pkt.DstNode]
 	if !ok {
 		f.DropsNoRoute++
@@ -82,18 +102,7 @@ func (f *ElectricalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		f.Prof.Record(f.PartOf(pkt.SrcNode), f.PartOf(pkt.DstNode),
 			f.PipelineDelay+f.ports[fp].link.PropDelay)
 	}
-	f.eng.AfterEvent(f.PipelineDelay, sim.ClassFabricElec, (*elecEnqueue)(f), pkt, int64(fp))
-}
-
-// elecEnqueue is the post-pipeline enqueue step as a sim.Action: arg is the
-// packet, v the fabric port index. The drop-tail decision happens here, at
-// enqueue time after the pipeline delay.
-type elecEnqueue ElectricalFabric
-
-func (a *elecEnqueue) RunEvent(arg any, v int64) {
-	f := (*ElectricalFabric)(a)
-	pkt := arg.(*core.Packet)
-	p := f.ports[int(v)]
+	p := f.ports[fp]
 	if p.bytes+int64(pkt.Size) > f.queueCap() {
 		f.DropsQueue++
 		f.traceDrop(pkt, core.DropElecQueue)
@@ -107,7 +116,7 @@ func (a *elecEnqueue) RunEvent(arg any, v int64) {
 			TimeNs:     f.eng.Now(),
 			Node:       core.NoNode,
 			InPort:     core.NoPort,
-			Egress:     core.PortID(v),
+			Egress:     core.PortID(fp),
 			ArrSlice:   core.WildcardSlice,
 			DepSlice:   core.WildcardSlice,
 			QueueBytes: p.bytes,

@@ -21,6 +21,21 @@ type Device interface {
 	Receive(pkt *core.Packet, port core.PortID)
 }
 
+// Pipelined is a Device whose every arrival passes a fixed-latency
+// pipeline before the device acts on it: a switch's ingress pipeline, the
+// electrical fabric's. A link delivering to one schedules the pipeline's
+// completion directly at arrival + delay, so the hop costs one event
+// instead of an arrival event whose only work is to schedule the
+// completion.
+type Pipelined interface {
+	Device
+	// Arrival returns the pipeline latency in ns plus the handler class
+	// and action that complete an arrival. The action runs with the
+	// packet as arg and the local ingress port as v. A link reads this
+	// once, when it is wired.
+	Arrival() (delay int64, class sim.Class, act sim.Action)
+}
+
 // Endpoint names one side of a link: a device and its local port number.
 type Endpoint struct {
 	Dev  Device
@@ -28,11 +43,29 @@ type Endpoint struct {
 }
 
 // RunEvent implements sim.Action: deliver an in-flight packet (arg) to the
-// endpoint's device. Links schedule delivery through this instead of a
-// closure — one event per packet per hop makes this the hottest scheduling
-// site in the simulator, and the pre-bound form allocates nothing.
+// endpoint's device. Links schedule delivery to devices that are not
+// Pipelined through this instead of a closure, so delivery allocates
+// nothing.
 func (ep *Endpoint) RunEvent(arg any, _ int64) {
 	ep.Dev.Receive(arg.(*core.Packet), ep.Port)
+}
+
+// linkEnd is an endpoint plus how the link delivers to it, resolved once
+// at wiring: a pipelined device's completion action after its delay, or a
+// plain Receive on arrival.
+type linkEnd struct {
+	Endpoint
+	delay int64
+	class sim.Class
+	act   sim.Action
+}
+
+func (e *linkEnd) wire(ep Endpoint) {
+	e.Endpoint = ep
+	e.class, e.act = sim.ClassLinkDeliver, &e.Endpoint
+	if p, ok := ep.Dev.(Pipelined); ok {
+		e.delay, e.class, e.act = p.Arrival()
+	}
 }
 
 // Link is a full-duplex wire between two endpoints. Each direction
@@ -42,7 +75,7 @@ func (ep *Endpoint) RunEvent(arg any, _ int64) {
 // on-wire propagation; pipeline latency belongs to the devices).
 type Link struct {
 	eng  *sim.Engine
-	a, b Endpoint
+	a, b linkEnd
 
 	// BandwidthBps is the line rate in bits per second.
 	BandwidthBps int64
@@ -67,12 +100,16 @@ type Link struct {
 }
 
 // NewLink wires two endpoints with the given line rate and propagation
-// delay. Both devices must outlive the link.
+// delay. Both devices must outlive the link, and a Pipelined device must
+// have its pipeline latency configured before it is wired.
 func NewLink(eng *sim.Engine, a, b Endpoint, bandwidthBps int64, propDelayNs int64) *Link {
 	if bandwidthBps <= 0 {
 		panic(fmt.Sprintf("fabric: non-positive bandwidth %d", bandwidthBps))
 	}
-	return &Link{eng: eng, a: a, b: b, BandwidthBps: bandwidthBps, PropDelay: propDelayNs}
+	l := &Link{eng: eng, BandwidthBps: bandwidthBps, PropDelay: propDelayNs}
+	l.a.wire(a)
+	l.b.wire(b)
+	return l
 }
 
 // SerializationDelay returns the time to put size bytes on this wire.
@@ -87,18 +124,21 @@ func serDelay(size int32, bps int64) int64 {
 // Send transmits pkt from the `from` device toward the other side. The
 // wire enforces FIFO line-rate serialization per direction, so senders
 // that overrun the line rate are naturally queued on the wire clock.
-func (l *Link) Send(from Device, pkt *core.Packet) { l.send(from, pkt, false) }
+func (l *Link) Send(from Device, pkt *core.Packet) { l.send(from, pkt, l.eng.Now(), false) }
 
 // SendCutThrough transmits without adding a serialization delay to the
 // arrival time (the bits are already streaming — the sender is a bufferless
 // waveguide relaying an in-flight packet). The wire is still reserved for
 // the full serialization time so line rate is never exceeded.
-func (l *Link) SendCutThrough(from Device, pkt *core.Packet) { l.send(from, pkt, true) }
+func (l *Link) SendCutThrough(from Device, pkt *core.Packet) { l.send(from, pkt, l.eng.Now(), true) }
 
-func (l *Link) send(from Device, pkt *core.Packet, cutThrough bool) {
+// send reserves the wire in the `from` direction for pkt, no earlier than
+// time at (>= now), and schedules the delivery. A cut-through relay passes
+// a future at: the optical fabric reserves its egress wire when a packet
+// enters, for the instant the packet leaves its cut-through pipeline.
+func (l *Link) send(from Device, pkt *core.Packet, at int64, cutThrough bool) {
 	ser := l.SerializationDelay(pkt.Size)
-	now := l.eng.Now()
-	var to *Endpoint
+	var to *linkEnd
 	var free *int64
 	switch from {
 	case l.a.Dev:
@@ -112,7 +152,7 @@ func (l *Link) send(from Device, pkt *core.Packet, cutThrough bool) {
 	default:
 		panic("fabric: Send from a device not on this link")
 	}
-	start := now
+	start := at
 	if *free > start {
 		start = *free
 	}
@@ -121,20 +161,21 @@ func (l *Link) send(from Device, pkt *core.Packet, cutThrough bool) {
 	if cutThrough {
 		arrive = start + l.PropDelay
 	}
+	t := arrive + to.delay
 	if l.Prof != nil {
 		if to == &l.b {
-			l.Prof.Record(l.PartA, l.PartB, arrive-now)
+			l.Prof.Record(l.PartA, l.PartB, t-l.eng.Now())
 		} else {
-			l.Prof.Record(l.PartB, l.PartA, arrive-now)
+			l.Prof.Record(l.PartB, l.PartA, t-l.eng.Now())
 		}
 	}
-	l.eng.AtEvent(arrive, sim.ClassLinkDeliver, to, pkt, 0)
+	l.eng.AtEvent(t, to.class, to.act, pkt, int64(to.Port))
 }
 
 // Other returns the endpoint opposite to the given device.
 func (l *Link) Other(d Device) Endpoint {
 	if d == l.a.Dev {
-		return l.b
+		return l.b.Endpoint
 	}
-	return l.a
+	return l.a.Endpoint
 }

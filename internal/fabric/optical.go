@@ -246,18 +246,10 @@ func (f *OpticalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		f.Prof.Record(f.PartOf(f.rev[int(port)].node), f.PartOf(f.rev[out].node),
 			f.CutThroughDelay+f.ports[out].PropDelay)
 	}
-	f.eng.AfterEvent(f.CutThroughDelay, sim.ClassFabricOptical, (*opticalRelay)(f), pkt, int64(out))
-}
-
-// opticalRelay is the fabric's sim.Action for the cut-through hop: arg is
-// the in-flight packet, v the fabric-side output port index resolved at
-// Receive time. A defined-type cast of the fabric itself, so scheduling it
-// carries no per-event state beyond the two operands.
-type opticalRelay OpticalFabric
-
-func (a *opticalRelay) RunEvent(arg any, v int64) {
-	f := (*OpticalFabric)(a)
-	f.ports[int(v)].SendCutThrough(f, arg.(*core.Packet))
+	// The egress wire is reserved now for the instant the packet leaves
+	// the cut-through pipeline: every check above happened on arrival, so
+	// nothing is left for a separate relay event to decide.
+	f.ports[out].send(f, pkt, f.eng.Now()+f.CutThroughDelay, true)
 }
 
 // traceDrop flushes a sampled packet's trace with a fabric-side drop. The

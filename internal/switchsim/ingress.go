@@ -11,24 +11,35 @@ import (
 // EQO registers, congestion responses (drop / trim / defer), push-back
 // origination, and buffer offloading.
 
-// Receive implements fabric.Device: packets enter the ingress pipeline.
-func (s *Switch) Receive(pkt *core.Packet, inPort core.PortID) {
-	s.Counters.RxPkts++
-	if s.WireDelaySampler != nil && pkt.Enqueued > 0 {
-		if p := s.portAt(inPort); p != nil && p.kind == portUplink {
-			s.WireDelaySampler(s.eng.Now()-pkt.Enqueued, pkt.Size)
-		}
-	}
-	s.eng.AfterEvent(s.Cfg.pipeline(), sim.ClassSwitchIngress, (*ingressAction)(s), pkt, int64(inPort))
+// Arrival implements fabric.Pipelined: links schedule the ingress action
+// one pipeline latency after a packet fully arrives.
+func (s *Switch) Arrival() (int64, sim.Class, sim.Action) {
+	return s.Cfg.pipeline(), sim.ClassSwitchIngress, (*ingressAction)(s)
 }
 
-// ingressAction runs the ingress pipeline after the pipeline delay — the
-// closure-free sim.Action form of Receive's deferred process call: arg is
-// the packet, v the ingress port. One of these fires per packet per hop.
+// Receive implements fabric.Device for callers that hand the switch a
+// packet directly: it schedules the same ingress action a link would.
+func (s *Switch) Receive(pkt *core.Packet, inPort core.PortID) {
+	d, class, act := s.Arrival()
+	s.eng.AfterEvent(d, class, act, pkt, int64(inPort))
+}
+
+// ingressAction is a packet's arrival at the switch, run when it leaves
+// the ingress pipeline: arg is the packet, v the ingress port. One of
+// these fires per packet per hop.
 type ingressAction Switch
 
 func (a *ingressAction) RunEvent(arg any, v int64) {
-	(*Switch)(a).process(arg.(*core.Packet), core.PortID(v))
+	s := (*Switch)(a)
+	pkt, inPort := arg.(*core.Packet), core.PortID(v)
+	s.Counters.RxPkts++
+	if s.WireDelaySampler != nil && pkt.Enqueued > 0 {
+		if p := s.portAt(inPort); p != nil && p.kind == portUplink {
+			// The wire delay ends at the Rx MAC, one pipeline latency ago.
+			s.WireDelaySampler(s.eng.Now()-s.Cfg.pipeline()-pkt.Enqueued, pkt.Size)
+		}
+	}
+	s.process(pkt, inPort)
 }
 
 func (s *Switch) process(pkt *core.Packet, inPort core.PortID) {

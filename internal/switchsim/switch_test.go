@@ -24,11 +24,12 @@ func (c *collector) Receive(pkt *core.Packet, port core.PortID) {
 // rig is a one-switch test bench: uplink 0 to a collector, downlink to a
 // collector-as-host.
 type rig struct {
-	eng   *sim.Engine
-	sw    *Switch
-	up    *collector
-	host  *collector
-	sched *core.Schedule
+	eng    *sim.Engine
+	sw     *Switch
+	up     *collector
+	host   *collector
+	upLink *fabric.Link
+	sched  *core.Schedule
 }
 
 func newRig(t *testing.T, numSlices int, cfg Config) *rig {
@@ -54,7 +55,7 @@ func newRig(t *testing.T, numSlices int, cfg Config) *rig {
 	sw.AttachUplink(0, upLink)
 	sw.AttachDownlink(1, 0, downLink)
 	sw.InstallConnIndex(core.NewConnIndex(sched))
-	return &rig{eng: eng, sw: sw, up: up, host: host, sched: sched}
+	return &rig{eng: eng, sw: sw, up: up, host: host, upLink: upLink, sched: sched}
 }
 
 // ringCircuits gives node 0 a circuit to node ts+1 in slice ts (port 0).

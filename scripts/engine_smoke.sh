@@ -35,11 +35,17 @@ for f in run run2; do
 done
 cmp "$tmp/run.masked.json" "$tmp/run2.masked.json" || { echo "engine report not deterministic"; exit 1; }
 
-# Chains: the merge analysis must name concrete edges and totals — this is
-# the evidence ROADMAP item 4 (event-merging 2x) builds on.
+# Chains: the merge analysis must name concrete edges and totals. The
+# constant-delay hops are fused — links schedule switch ingress directly and
+# the optical fabric relays without an event of its own — so the fabric's
+# arrival schedules the far switch's ingress and no fabric.optical event
+# runs.
 "$tmp/ooctl" engine chains "$tmp/run.engine.json" | tee "$tmp/chains.txt"
 grep -q 'mergeable edges' "$tmp/chains.txt"
 grep -q 'link.deliver -> switch.ingress' "$tmp/chains.txt"
+if grep -q 'fabric.optical' "$tmp/chains.txt"; then
+    echo "the optical relay still runs as its own event"; exit 1
+fi
 grep -q 'total events saved if merged' "$tmp/chains.txt"
 if grep -q 'total events saved if merged: 0 ' "$tmp/chains.txt"; then
     echo "merge analysis found no savings on the acceptance workload"; exit 1
