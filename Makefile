@@ -12,13 +12,16 @@ test: build
 # this target. experiments/ is excluded from the race pass only because its
 # drivers regenerate entire paper tables (~10x slower under -race, past any
 # sane CI budget); it holds no goroutines of its own and is covered by the
-# tier-1 `make test`.
+# tier-1 `make test`. The last step fuzzes the event scheduler against a
+# container/heap reference beyond its committed corpus; minimization is
+# capped so the 10 s budget goes to new inputs.
 check: build
 	go vet ./...
 	go build -tags simdebug ./...
 	go test -tags simdebug ./internal/core ./internal/sim ./cmd/ooctl
 	go test -race . ./cmd/... ./internal/...
 	go test -run TestInvariants .
+	go test -run '^$$' -fuzz '^FuzzSchedulerVsHeap$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sim
 
 bench:
 	go test -run xxx -bench . -benchtime 3x .

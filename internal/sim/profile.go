@@ -20,7 +20,7 @@ const (
 	ClassHostOffload                // offload-agent park/return
 	ClassHostReport                 // traffic-collection reports
 	ClassTransportRTO               // TCP retransmission-timeout checks
-	ClassFabricOptical              // optical-fabric cut-through forwarding
+	ClassFabricOptical              // retired optical relay; holds the numbering of recorded journals
 	ClassFabricElec                 // electrical-fabric pipeline/drain
 	ClassApp                        // application/traffic generators
 	ClassTelemetry                  // monitors, progress reporters

@@ -18,10 +18,12 @@ import (
 // Bucket storage is two-level: each bucket holds a small sorted run of
 // items inline in the wheel array itself, spilling deeper buckets to a
 // per-bucket 4-ary heap. The hot workload is a self-sustaining cascade —
-// each handler schedules its successors a few hundred ns out, so nearly
-// all traffic flows through the cursor bucket — and the inline region
-// keeps that traffic in one or two cache lines per bucket instead of a
-// heap array per bucket that goes cold between touches.
+// each handler schedules its successors a few hundred ns out, so most
+// traffic flows through the cursor bucket. Sparse buckets stay in one or
+// two cache lines; at line-rate densities most buckets outgrow the inline
+// run. On the 16-ToR rotornet-vlb benchmark (rpc load 0.3, 50 ms) 21% of
+// pushes land inline, 78% spill and 1% overflow (1.89 M, 6.95 M and
+// 0.10 M of 8.93 M).
 //
 // Determinism: the scheduler realizes the exact (t, seq) total order the
 // seed engine's binary heap produced. pop/peek select the (t, seq)-minimum
@@ -86,10 +88,9 @@ type eventRec struct {
 
 // bucketInline is the per-bucket inline capacity. The hot pattern is a
 // self-sustaining cascade around the cursor — pop an event, its handler
-// schedules its successors a few hundred ns out — with per-bucket resident
-// sets of a few items at the 512 ns bucket width, so eight inline slots
-// absorb nearly all traffic; only bursts (timer clusters parked on one
-// instant) touch the spill heaps.
+// schedules its successors a few hundred ns out. Eight slots hold a
+// sparse bucket; at line rate most pushes find the bucket deeper than
+// that and go to its spill heap (see the split in the file comment).
 const bucketInline = 8
 
 // bucket is one calendar slot: up to bucketInline items held in the wheel

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -186,6 +187,94 @@ func (q *refQueue) Pop() any        { old := *q; n := len(old); e := old[n-1]; *
 func (q *refQueue) next() *refEvent { return heap.Pop(q).(*refEvent) }
 func (q *refQueue) add(e *refEvent) { heap.Push(q, e) }
 
+// schedSpec is one root event of a differential run: its time, and the
+// delays of the followups its handler schedules (negative = in the past,
+// clamped to now).
+type schedSpec struct {
+	t         int64
+	followups []int64
+}
+
+// runVsHeap drives the calendar-queue engine and the reference heap through
+// the same schedule and returns the first difference in execution order,
+// or "" when they agree. step > 0 runs the engine in RunUntil windows of
+// that width instead of one Run, so batches are cut short mid-bucket and
+// their unconsumed events go back to the bucket; the order must not move.
+func runVsHeap(specs []schedSpec, step int64) string {
+	n := len(specs)
+
+	// Run the real engine.
+	var gotOrder []int
+	e := New()
+	var schedule func(id int, at int64, followups []int64)
+	nextID := n
+	schedule = func(id int, at int64, followups []int64) {
+		// Clamp here (identically to the engine's normal-build clamp)
+		// so `-tags simdebug` builds don't panic on followups that
+		// would land in the past.
+		if at < e.Now() {
+			at = e.Now()
+		}
+		e.At(at, func() {
+			gotOrder = append(gotOrder, id)
+			for _, d := range followups {
+				fid := nextID
+				nextID++
+				schedule(fid, e.Now()+d, nil)
+			}
+		})
+	}
+	for i, s := range specs {
+		schedule(i, s.t, s.followups)
+	}
+	if step <= 0 {
+		e.Run()
+	} else {
+		for e.Pending() > 0 {
+			e.RunUntil(e.Now() + step)
+		}
+	}
+
+	// Run the reference heap with the same logic (including the
+	// past-time clamp) and the same seq assignment discipline.
+	var wantOrder []int
+	var rq refQueue
+	var rnow int64
+	var rseq uint64
+	followupsOf := make(map[int][]int64, n)
+	for i, s := range specs {
+		rseq++
+		rq.add(&refEvent{t: s.t, seq: rseq, id: i})
+		followupsOf[i] = s.followups
+	}
+	rNextID := n
+	for rq.Len() > 0 {
+		ev := rq.next()
+		rnow = ev.t
+		wantOrder = append(wantOrder, ev.id)
+		for _, d := range followupsOf[ev.id] {
+			at := rnow + d
+			if at < rnow {
+				at = rnow
+			}
+			rseq++
+			rq.add(&refEvent{t: at, seq: rseq, id: rNextID})
+			rNextID++
+		}
+	}
+
+	if len(gotOrder) != len(wantOrder) {
+		return fmt.Sprintf("executed %d events, reference executed %d", len(gotOrder), len(wantOrder))
+	}
+	for i := range gotOrder {
+		if gotOrder[i] != wantOrder[i] {
+			return fmt.Sprintf("execution order diverges at %d: got event %d, reference %d",
+				i, gotOrder[i], wantOrder[i])
+		}
+	}
+	return ""
+}
+
 // TestDifferentialVsHeap drives the calendar-queue engine and the reference
 // heap with an identical randomized schedule — bursty near-future times,
 // same-instant clusters, overflow-range timers, and handler-scheduled
@@ -196,12 +285,8 @@ func TestDifferentialVsHeap(t *testing.T) {
 
 		// Generate the root schedule plus deterministic followup rules:
 		// event i, when executed, schedules followups at now+delta.
-		type spec struct {
-			t         int64
-			followups []int64 // deltas; negative = past (clamped)
-		}
 		n := 200 + rng.Intn(200)
-		specs := make([]spec, n)
+		specs := make([]schedSpec, n)
 		for i := range specs {
 			var tt int64
 			switch rng.Intn(4) {
@@ -217,76 +302,81 @@ func TestDifferentialVsHeap(t *testing.T) {
 					tt = 0
 				}
 			}
-			s := spec{t: tt}
+			s := schedSpec{t: tt}
 			for f := rng.Intn(3); f > 0; f-- {
 				s.followups = append(s.followups, int64(rng.Intn(int(wheelSpan*3)))-bucketWidth)
 			}
 			specs[i] = s
 		}
-
-		// Run the real engine.
-		var gotOrder []int
-		e := New()
-		var schedule func(id int, at int64, followups []int64)
-		nextID := n
-		schedule = func(id int, at int64, followups []int64) {
-			// Clamp here (identically to the engine's normal-build clamp)
-			// so `-tags simdebug` builds don't panic on followups that
-			// would land in the past.
-			if at < e.Now() {
-				at = e.Now()
-			}
-			e.At(at, func() {
-				gotOrder = append(gotOrder, id)
-				for _, d := range followups {
-					fid := nextID
-					nextID++
-					schedule(fid, e.Now()+d, nil)
-				}
-			})
-		}
-		for i, s := range specs {
-			schedule(i, s.t, s.followups)
-		}
-		e.Run()
-
-		// Run the reference heap with the same logic (including the
-		// past-time clamp) and the same seq assignment discipline.
-		var wantOrder []int
-		var rq refQueue
-		var rnow int64
-		var rseq uint64
-		followupsOf := make(map[int][]int64, n)
-		for i, s := range specs {
-			rseq++
-			rq.add(&refEvent{t: s.t, seq: rseq, id: i})
-			followupsOf[i] = s.followups
-		}
-		rNextID := n
-		for rq.Len() > 0 {
-			ev := rq.next()
-			rnow = ev.t
-			wantOrder = append(wantOrder, ev.id)
-			for _, d := range followupsOf[ev.id] {
-				at := rnow + d
-				if at < rnow {
-					at = rnow
-				}
-				rseq++
-				rq.add(&refEvent{t: at, seq: rseq, id: rNextID})
-				rNextID++
-			}
-		}
-
-		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("trial %d: executed %d events, reference executed %d",
-				trial, len(gotOrder), len(wantOrder))
-		}
-		for i := range gotOrder {
-			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("trial %d: execution order diverges at %d: got event %d, reference %d",
-					trial, i, gotOrder[i], wantOrder[i])
-			}
+		if msg := runVsHeap(specs, 0); msg != "" {
+			t.Fatalf("trial %d: %s", trial, msg)
 		}
 	}
+}
+
+// FuzzSchedulerVsHeap is TestDifferentialVsHeap as a native fuzz target:
+// the fuzzer writes the schedule. Byte 0 picks the run mode (0 = one Run,
+// else RunUntil windows of byte×997 ns). Each root event then reads a
+// control byte — low two bits the time class of the randomized test
+// (same-instant cluster, near future, overflow range, bucket boundary),
+// next two bits its followup count — and a 16-bit time operand, then a
+// 16-bit delay operand per followup. Seeds live in
+// testdata/fuzz/FuzzSchedulerVsHeap.
+func FuzzSchedulerVsHeap(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 7, 0x10, 0x20, 0xff, 0xff, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		specs, step := decodeSchedule(data)
+		if msg := runVsHeap(specs, step); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+// decodeSchedule maps fuzz bytes onto the randomized test's schedule
+// space; see FuzzSchedulerVsHeap. At most 512 root events are read.
+func decodeSchedule(data []byte) ([]schedSpec, int64) {
+	if len(data) == 0 {
+		return nil, 0
+	}
+	step := int64(data[0]) * 997
+	data = data[1:]
+	u16 := func() (int64, bool) {
+		if len(data) < 2 {
+			return 0, false
+		}
+		v := int64(data[0])<<8 | int64(data[1])
+		data = data[2:]
+		return v, true
+	}
+	var specs []schedSpec
+	for len(data) > 0 && len(specs) < 512 {
+		ctl := data[0]
+		data = data[1:]
+		u, ok := u16()
+		if !ok {
+			break
+		}
+		var tt int64
+		switch ctl & 3 {
+		case 0: // same-instant cluster
+			tt = u % 4 * 64
+		case 1: // near future, within the wheel
+			tt = u * (wheelSpan >> 16)
+		case 2: // overflow range, up to ~20 wheel spans out
+			tt = wheelSpan + u*(wheelSpan*20>>16)
+		default: // bucket-boundary adjacent
+			tt = max(0, (u>>2)%64*bucketWidth+u&3-1)
+		}
+		s := schedSpec{t: tt}
+		for k := ctl >> 2 & 3; k > 0; k-- {
+			d, ok := u16()
+			if !ok {
+				break
+			}
+			// Up to three wheel spans out, or one bucket into the past.
+			s.followups = append(s.followups, d*(wheelSpan*3>>16)-bucketWidth)
+		}
+		specs = append(specs, s)
+	}
+	return specs, step
 }
