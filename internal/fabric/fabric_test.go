@@ -67,7 +67,7 @@ func TestLinkCutThrough(t *testing.T) {
 	eng := sim.New()
 	a, b := &sink{eng: eng}, &sink{eng: eng}
 	l := NewLink(eng, Endpoint{Dev: a, Port: 0}, Endpoint{Dev: b, Port: 0}, 100e9, 500)
-	eng.At(0, func() { l.SendCutThrough(a, pkt(1500, 1)) })
+	l.send(a, pkt(1500, 1), 0, true)
 	eng.Run()
 	if b.times[0] != 500 { // no serialization in the arrival time
 		t.Fatalf("cut-through arrival at %d, want 500", b.times[0])

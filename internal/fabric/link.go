@@ -126,16 +126,14 @@ func serDelay(size int32, bps int64) int64 {
 // that overrun the line rate are naturally queued on the wire clock.
 func (l *Link) Send(from Device, pkt *core.Packet) { l.send(from, pkt, l.eng.Now(), false) }
 
-// SendCutThrough transmits without adding a serialization delay to the
-// arrival time (the bits are already streaming — the sender is a bufferless
-// waveguide relaying an in-flight packet). The wire is still reserved for
-// the full serialization time so line rate is never exceeded.
-func (l *Link) SendCutThrough(from Device, pkt *core.Packet) { l.send(from, pkt, l.eng.Now(), true) }
-
 // send reserves the wire in the `from` direction for pkt, no earlier than
-// time at (>= now), and schedules the delivery. A cut-through relay passes
-// a future at: the optical fabric reserves its egress wire when a packet
-// enters, for the instant the packet leaves its cut-through pipeline.
+// time at (>= now), and schedules the delivery. A cut-through send adds no
+// serialization delay to the arrival time (the bits are already streaming
+// — the sender is a bufferless waveguide relaying an in-flight packet),
+// but still reserves the wire for the full serialization time so line
+// rate is never exceeded. The optical fabric sends cut-through with a
+// future at: it reserves its egress wire when a packet enters, for the
+// instant the packet leaves its cut-through pipeline.
 func (l *Link) send(from Device, pkt *core.Packet, at int64, cutThrough bool) {
 	ser := l.SerializationDelay(pkt.Size)
 	var to *linkEnd
@@ -170,12 +168,4 @@ func (l *Link) send(from Device, pkt *core.Packet, at int64, cutThrough bool) {
 		}
 	}
 	l.eng.AtEvent(t, to.class, to.act, pkt, int64(to.Port))
-}
-
-// Other returns the endpoint opposite to the given device.
-func (l *Link) Other(d Device) Endpoint {
-	if d == l.a.Dev {
-		return l.b.Endpoint
-	}
-	return l.a.Endpoint
 }

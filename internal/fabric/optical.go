@@ -246,9 +246,9 @@ func (f *OpticalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		f.Prof.Record(f.PartOf(f.rev[int(port)].node), f.PartOf(f.rev[out].node),
 			f.CutThroughDelay+f.ports[out].PropDelay)
 	}
-	// The egress wire is reserved now for the instant the packet leaves
-	// the cut-through pipeline: every check above happened on arrival, so
-	// nothing is left for a separate relay event to decide.
+	// Every forwarding decision is made on arrival, above, so the egress
+	// wire can be reserved now for the instant the packet leaves the
+	// cut-through pipeline.
 	f.ports[out].send(f, pkt, f.eng.Now()+f.CutThroughDelay, true)
 }
 
