@@ -12,9 +12,10 @@ test: build
 # this target. experiments/ is excluded from the race pass only because its
 # drivers regenerate entire paper tables (~10x slower under -race, past any
 # sane CI budget); it holds no goroutines of its own and is covered by the
-# tier-1 `make test`. The last step fuzzes the event scheduler against a
-# container/heap reference beyond its committed corpus; minimization is
-# capped so the 10 s budget goes to new inputs.
+# tier-1 `make test`. The last two steps fuzz the event scheduler against
+# a container/heap reference and time-flow table lookup against a linear
+# scan, each beyond its committed corpus; minimization is capped so the
+# 10 s budgets go to new inputs.
 check: build
 	go vet ./...
 	go build -tags simdebug ./...
@@ -22,6 +23,7 @@ check: build
 	go test -race . ./cmd/... ./internal/...
 	go test -run TestInvariants .
 	go test -run '^$$' -fuzz '^FuzzSchedulerVsHeap$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzTableLookup$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 
 bench:
 	go test -run xxx -bench . -benchtime 3x .

@@ -119,6 +119,9 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
+	for _, w := range in.Warnings() {
+		fmt.Fprintln(os.Stderr, "oosim: warning:", w)
+	}
 
 	// Run provenance, captured once up front (never in the simulation hot
 	// path): the config digest covers every resolved run parameter, so two

@@ -72,6 +72,16 @@ type Instance struct {
 	Demand *demand.Controller
 }
 
+// Warnings returns the network's configuration warnings, each naming the
+// architecture.
+func (in *Instance) Warnings() []string {
+	ws := in.Net.Warnings()
+	for i, w := range ws {
+		ws[i] = in.Name + ": " + w
+	}
+	return ws
+}
+
 // Run advances the instance by d, executing the TA control loop on its
 // period — the while(TM=net.collect(...)) shape of Fig. 5.
 func (in *Instance) Run(d time.Duration) error {

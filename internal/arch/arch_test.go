@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -184,5 +185,25 @@ func TestShale(t *testing.T) {
 	bad.Nodes = 10
 	if _, err := Shale(bad, 2); err == nil {
 		t.Fatal("non-square grid accepted")
+	}
+}
+
+// TestCalendarDepthWarning checks the shallow-calendar warning: VLB at 64
+// ToRs holds packets up to 62 slices against the default 32 queues, while
+// 16 ToRs (15 slices) fits.
+func TestCalendarDepthWarning(t *testing.T) {
+	in, err := RotorNet(Options{Nodes: 64}, SchemeVLB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := in.Warnings()
+	if len(ws) != 1 || !strings.HasPrefix(ws[0], "rotornet-vlb: routes demand calendar rank 62 but switches have 32 calendar queues") {
+		t.Fatalf("64 ToRs: warnings %q, want one naming rank 62, 32 queues and the architecture", ws)
+	}
+	if in, err = RotorNet(Options{Nodes: 16}, SchemeVLB); err != nil {
+		t.Fatal(err)
+	}
+	if ws := in.Warnings(); len(ws) != 0 {
+		t.Fatalf("16 ToRs: unexpected warnings %q", ws)
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements the time-flow table (§3) — the paper's central
@@ -127,61 +128,74 @@ type Action struct {
 type Entry struct {
 	Priority int
 	Match    Match
-	Actions  []Action // len > 1 forms a multipath group
 	Mode     MultipathMode
-	seq      int // insertion order, assigned by Table.Add
+	Actions  []Action // len > 1 forms a multipath group
+	seq      int      // insertion order, assigned by Table.Add
 
-	// Weighted-multipath state precomputed by Table.Add so selectAction
-	// does not walk the action weights on every packet: cum[i] is the
-	// cumulative weight through Actions[i] (nil when the group is
-	// unweighted — all weights are 1 or unset — and plain modulo hashing
-	// applies); wtotal is the final cumulative sum.
-	cum    []float64
-	wtotal float64
+	// cum is the weighted-multipath state precomputed by Table.Add so
+	// selectAction does not walk the action weights on every packet:
+	// (*cum)[i] is the cumulative weight through Actions[i], so the last
+	// element is the total. It is nil when the group is unweighted (all
+	// weights are 1 or unset) and plain modulo hashing applies.
+	cum *[]float64
 }
 
 // Table is a time-flow table instance as installed on one endpoint node
-// (switch or NIC). Lookup cost is O(entries for dst) + O(wildcard-dst
-// entries); production pipelines realize the same match with TCAM.
+// (switch or NIC). Production pipelines match it in one TCAM step; here
+// each destination indexes its entries with a concrete Src by the exact
+// key (Src, ArrSlice). A lookup costs one map probe, a binary search per
+// key it can hit — O(log k) for k entries to the destination — and a scan
+// of the Src-wildcard and Dst-wildcard lists that stops at the first
+// entry unable to beat the exact hit.
 //
 // Table is not safe for concurrent mutation; devices own their tables and
 // the controller deploys via the device's serialized event loop.
 type Table struct {
-	byDst  map[NodeID][]*Entry // entries with concrete Dst
-	anyDst []*Entry            // entries with wildcard Dst
+	byDst  map[NodeID]*dstIndex // entries with concrete Dst
+	anyDst []*Entry             // entries with wildcard Dst, best-first
 	n      int
 	seq    int
-
-	// Lookup memoization for the stable-table fast path: the resolved
-	// best entry per (dst, arrival slice), filled lazily by Lookup and
-	// invalidated wholesale by Add/Clear. A nil value records a definite
-	// miss. The cache is bypassed whenever any entry matches on Src,
-	// because the resolved entry would then depend on a third key
-	// dimension.
-	cache        map[lookupKey]*Entry
-	srcSensitive bool
 }
 
-// lookupKey indexes the resolved-entry cache.
-type lookupKey struct {
-	dst NodeID
-	arr Slice
+// dstIndex holds the entries for one concrete destination.
+type dstIndex struct {
+	exact   []keyedEntry // concrete Src: sorted by key, then best-first
+	anySrc  []*Entry     // wildcard Src, best-first
+	wildArr bool         // some exact entry has a wildcard ArrSlice
+}
+
+// keyedEntry is an entry with a concrete Src under its exact-match key.
+type keyedEntry struct {
+	key uint64
+	e   *Entry
+}
+
+// exactKey packs (src, arrival slice) into one index key. Every wildcard
+// slice packs to the same all-ones low half, which no concrete
+// (non-negative) slice reaches.
+func exactKey(src NodeID, arr Slice) uint64 {
+	a := uint64(uint32(arr))
+	if arr.IsWildcard() {
+		a = 1<<32 - 1
+	}
+	return uint64(uint32(src))<<32 | a
 }
 
 // NewTable returns an empty time-flow table.
 func NewTable() *Table {
-	return &Table{byDst: make(map[NodeID][]*Entry)}
+	return &Table{byDst: make(map[NodeID]*dstIndex)}
 }
 
 // Len returns the number of installed entries.
 func (t *Table) Len() int { return t.n }
 
-// Add installs an entry. It validates the entry and keeps per-destination
-// entry lists sorted by (priority desc, specificity desc, insertion order).
+// Add installs an entry after validating it. Among entries that cover the
+// same packet, higher priority wins, then specificity, then insertion
+// order.
 func (t *Table) Add(e Entry) error { return t.AddAll([]Entry{e}) }
 
 // AddAll installs es in order, exactly as that many Add calls would, but
-// stores the entries in es itself and allocates once per destination list
+// stores the entries in es itself and allocates once per kind of list
 // instead of once per entry. The table takes ownership of es: the caller
 // must not touch it afterwards. It validates every entry first and
 // installs nothing if any is invalid.
@@ -194,41 +208,74 @@ func (t *Table) AddAll(es []Entry) error {
 	if len(es) == 0 {
 		return nil
 	}
-	batch := es
-	// Group the batch per destination list, keeping batch order, in one
-	// backing array carved per list.
-	count := make(map[NodeID]int)
-	for i := range batch {
-		e := &batch[i]
+	// Count the batch's share of each destination's lists, then carve one
+	// backing array per kind of list among the destinations. Compiled
+	// batches list each (src, dst) pair's entries together, so the map is
+	// consulted only when the destination changes.
+	type part struct {
+		dstIndex
+		nExact, nPtrs int
+	}
+	parts := make(map[NodeID]*part)
+	var p *part
+	nExact := 0
+	for i := range es {
+		e := &es[i]
 		e.seq = t.seq
 		t.seq++
 		e.precomputeWeights()
-		count[e.Match.Dst]++
-		if e.Match.Src != NoNode {
-			t.srcSensitive = true
+		if i == 0 || e.Match.Dst != es[i-1].Match.Dst {
+			if p = parts[e.Match.Dst]; p == nil {
+				p = new(part)
+				parts[e.Match.Dst] = p
+			}
 		}
-	}
-	t.n += len(batch)
-	lists := make(map[NodeID][]*Entry, len(count))
-	ptrs := make([]*Entry, len(batch))
-	for dst, c := range count {
-		lists[dst] = ptrs[:0:c]
-		ptrs = ptrs[c:]
-	}
-	for i := range batch {
-		e := &batch[i]
-		lists[e.Match.Dst] = append(lists[e.Match.Dst], e)
-	}
-	for dst, l := range lists {
-		if dst == NoNode {
-			t.anyDst = mergeSorted(t.anyDst, l)
+		if e.exact() {
+			p.nExact++
+			nExact++
 		} else {
-			t.byDst[dst] = mergeSorted(t.byDst[dst], l)
+			p.nPtrs++
 		}
 	}
-	t.cache = nil
+	t.n += len(es)
+	keyed := make([]keyedEntry, nExact)
+	ptrs := make([]*Entry, len(es)-nExact)
+	for _, p := range parts {
+		p.dstIndex = dstIndex{exact: keyed[:0:p.nExact], anySrc: ptrs[:0:p.nPtrs]}
+		keyed, ptrs = keyed[p.nExact:], ptrs[p.nPtrs:]
+	}
+	for i := range es {
+		e := &es[i]
+		if i == 0 || e.Match.Dst != es[i-1].Match.Dst {
+			p = parts[e.Match.Dst]
+		}
+		if e.exact() {
+			p.exact = append(p.exact, keyedEntry{exactKey(e.Match.Src, e.Match.ArrSlice), e})
+			p.wildArr = p.wildArr || e.Match.ArrSlice.IsWildcard()
+		} else {
+			p.anySrc = append(p.anySrc, e)
+		}
+	}
+	for dst, p := range parts {
+		if dst == NoNode {
+			t.anyDst = mergeSorted(t.anyDst, p.anySrc, cmpEntry)
+			continue
+		}
+		d := t.byDst[dst]
+		if d == nil {
+			d = &dstIndex{}
+			t.byDst[dst] = d
+		}
+		d.exact = mergeSorted(d.exact, p.exact, cmpKeyed)
+		d.anySrc = mergeSorted(d.anySrc, p.anySrc, cmpEntry)
+		d.wildArr = d.wildArr || p.wildArr
+	}
 	return nil
 }
+
+// exact reports whether the entry goes in its destination's exact index:
+// both endpoints concrete.
+func (e *Entry) exact() bool { return e.Match.Src != NoNode && e.Match.Dst != NoNode }
 
 // validate checks an entry before it is installed.
 func (e *Entry) validate() error {
@@ -254,10 +301,10 @@ func (e *Entry) validate() error {
 }
 
 // precomputeWeights fills the entry's cumulative-weight table for weighted
-// multipath groups. The summation order matches the per-lookup walk the
-// seed performed, so selection stays bit-identical.
+// multipath groups. It sums in action order, as a per-lookup walk of the
+// weights would, so selection is bit-identical.
 func (e *Entry) precomputeWeights() {
-	e.cum, e.wtotal = nil, 0
+	e.cum = nil
 	if len(e.Actions) <= 1 {
 		return
 	}
@@ -271,42 +318,40 @@ func (e *Entry) precomputeWeights() {
 	if !weighted {
 		return
 	}
-	e.cum = make([]float64, len(e.Actions))
-	var cum float64
+	cum := make([]float64, len(e.Actions))
+	var sum float64
 	for i, a := range e.Actions {
 		w := a.Weight
 		if w <= 0 {
 			w = 1
 		}
-		cum += w
-		e.cum[i] = cum
+		sum += w
+		cum[i] = sum
 	}
-	e.wtotal = cum
+	e.cum = &cum
 }
 
 // Clear removes all entries (used when the controller re-deploys routing
 // for a new topology instance in TA architectures).
 func (t *Table) Clear() {
-	t.byDst = make(map[NodeID][]*Entry)
+	t.byDst = make(map[NodeID]*dstIndex)
 	t.anyDst = nil
 	t.n = 0
-	t.cache = nil
-	t.srcSensitive = false
 }
 
-// mergeSorted merges add into the best-first list cur. entryLess breaks
-// ties by insertion sequence, so it is a total order: sorting add and
-// merging gives the order one-by-one insertion would. add is reused as
-// the result when cur is empty.
-func mergeSorted(cur, add []*Entry) []*Entry {
-	sort.Slice(add, func(i, j int) bool { return entryLess(add[i], add[j]) })
+// mergeSorted sorts add and merges it into the sorted list cur. order is a
+// total order (cmpEntry breaks ties by insertion sequence), so the result
+// is the order one-by-one insertion would give. add is reused as the
+// result when cur is empty.
+func mergeSorted[T any](cur, add []T, order func(a, b T) int) []T {
+	slices.SortFunc(add, order)
 	if len(cur) == 0 {
 		return add
 	}
-	out := make([]*Entry, 0, len(cur)+len(add))
+	out := make([]T, 0, len(cur)+len(add))
 	i, j := 0, 0
 	for i < len(cur) && j < len(add) {
-		if entryLess(add[j], cur[i]) {
+		if order(add[j], cur[i]) < 0 {
 			out = append(out, add[j])
 			j++
 		} else {
@@ -318,15 +363,27 @@ func mergeSorted(cur, add []*Entry) []*Entry {
 	return append(out, add[j:]...)
 }
 
-// entryLess reports whether a should be consulted before b.
-func entryLess(a, b *Entry) bool {
+// cmpEntry orders entries best-first: higher priority, then fewer
+// wildcards, then earlier insertion.
+func cmpEntry(a, b *Entry) int {
 	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+		return cmp.Compare(b.Priority, a.Priority)
 	}
-	if wa, wb := a.Match.Wildcards(), b.Match.Wildcards(); wa != wb {
-		return wa < wb
+	if c := cmp.Compare(a.Match.Wildcards(), b.Match.Wildcards()); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// entryLess reports whether a should be consulted before b.
+func entryLess(a, b *Entry) bool { return cmpEntry(a, b) < 0 }
+
+// cmpKeyed orders an exact index: by key, then best-first.
+func cmpKeyed(a, b keyedEntry) int {
+	if a.key != b.key {
+		return cmp.Compare(a.key, b.key)
+	}
+	return cmpEntry(a.e, b.e)
 }
 
 // LookupResult is the outcome of a time-flow table lookup for one packet.
@@ -341,43 +398,69 @@ type LookupResult struct {
 // given endpoint src/dst, and selects one action from the entry's group
 // using pktHash (per-packet multipath) or flowHash (per-flow multipath).
 // ok is false if no entry matches — the packet has no route.
+//
+// The best entry is the entryLess-minimum of every covering entry. The
+// covering set splits into the exact hits under (src, arr) and (src,
+// wildcard), the destination's Src-wildcard entries and the Dst-wildcard
+// entries; Lookup takes the minimum of each part's best.
 func (t *Table) Lookup(arr Slice, src, dst NodeID, pktHash, flowHash uint64) (LookupResult, bool) {
 	var best *Entry
-	cacheable := !t.srcSensitive
-	if cacheable {
-		if e, hit := t.cache[lookupKey{dst, arr}]; hit {
-			if e == nil {
-				return LookupResult{}, false
+	if d := t.byDst[dst]; d != nil {
+		best = d.find(exactKey(src, arr))
+		if d.wildArr {
+			if e := d.find(exactKey(src, WildcardSlice)); e != nil && (best == nil || entryLess(e, best)) {
+				best = e
 			}
-			best = e
+		}
+		if len(d.anySrc) > 0 {
+			best = better(d.anySrc, best, arr, src, dst)
 		}
 	}
+	if len(t.anyDst) > 0 {
+		best = better(t.anyDst, best, arr, src, dst)
+	}
 	if best == nil {
-		best = t.match(t.byDst[dst], arr, src, dst)
-		if alt := t.match(t.anyDst, arr, src, dst); alt != nil && (best == nil || entryLess(alt, best)) {
-			best = alt
-		}
-		if cacheable {
-			if t.cache == nil {
-				t.cache = make(map[lookupKey]*Entry)
-			}
-			t.cache[lookupKey{dst, arr}] = best
-		}
-		if best == nil {
-			return LookupResult{}, false
-		}
+		return LookupResult{}, false
 	}
 	a := selectAction(best, pktHash, flowHash)
 	return LookupResult{Egress: a.Egress, DepSlice: a.DepSlice, SourceRoute: a.SourceRoute, Entry: best}, true
 }
 
-func (t *Table) match(list []*Entry, arr Slice, src, dst NodeID) *Entry {
+// find returns the best entry under key k, or nil. It is a plain
+// lower-bound search; slices.BinarySearchFunc measured ~20% slower on
+// BenchmarkTableLookup.
+func (d *dstIndex) find(k uint64) *Entry {
+	s := d.exact
+	if len(s) == 0 {
+		return nil
+	}
+	base, n := 0, len(s)
+	for n > 1 {
+		half := n >> 1
+		if s[base+half-1].key < k {
+			base += half
+		}
+		n -= half
+	}
+	if s[base].key == k {
+		return s[base].e
+	}
+	return nil
+}
+
+// better returns the first entry of the best-first list that covers the
+// packet if it beats best, and best otherwise. The scan stops at the
+// first entry that cannot beat best.
+func better(list []*Entry, best *Entry, arr Slice, src, dst NodeID) *Entry {
 	for _, e := range list {
+		if best != nil && !entryLess(e, best) {
+			break
+		}
 		if e.Match.Covers(arr, src, dst) {
 			return e
 		}
 	}
-	return nil
+	return best
 }
 
 // selectAction picks an action from a multipath group. Weighted groups use
@@ -399,9 +482,10 @@ func selectAction(e *Entry, pktHash, flowHash uint64) Action {
 	if e.cum == nil {
 		return e.Actions[h%uint64(len(e.Actions))]
 	}
-	// Map the hash to [0, wtotal) and walk the cumulative weights.
-	x := float64(h%1000003) / 1000003 * e.wtotal
-	for i, c := range e.cum {
+	// Map the hash to [0, total) and walk the cumulative weights.
+	cum := *e.cum
+	x := float64(h%1000003) / 1000003 * cum[len(cum)-1]
+	for i, c := range cum {
 		if x < c {
 			return e.Actions[i]
 		}
@@ -413,10 +497,13 @@ func selectAction(e *Entry, pktHash, flowHash uint64) Action {
 // resource accounting. The returned entries must not be mutated.
 func (t *Table) Entries() []*Entry {
 	out := make([]*Entry, 0, t.n)
-	for _, l := range t.byDst {
-		out = append(out, l...)
+	for _, d := range t.byDst {
+		for _, k := range d.exact {
+			out = append(out, k.e)
+		}
+		out = append(out, d.anySrc...)
 	}
 	out = append(out, t.anyDst...)
-	sort.Slice(out, func(i, j int) bool { return entryLess(out[i], out[j]) })
+	slices.SortFunc(out, cmpEntry)
 	return out
 }

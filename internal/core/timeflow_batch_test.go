@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -81,8 +82,23 @@ func TestAddAllMatchesOneByOneInsertion(t *testing.T) {
 			t.Fatalf("iter %d: wildcard-dst list order differs", iter)
 		}
 		for dst, want := range refByDst {
-			if !same(tab.byDst[dst], want) {
-				t.Fatalf("iter %d: dst %d list order differs", iter, dst)
+			d := tab.byDst[dst]
+			if !slices.IsSortedFunc(d.exact, cmpKeyed) ||
+				!slices.IsSortedFunc(d.anySrc, cmpEntry) {
+				t.Fatalf("iter %d: dst %d lists out of order", iter, dst)
+			}
+			// The destination's lists hold exactly the reference's
+			// entries: their best-first union is the reference list.
+			union := slices.Clone(d.anySrc)
+			for _, k := range d.exact {
+				if !k.e.exact() || k.key != exactKey(k.e.Match.Src, k.e.Match.ArrSlice) {
+					t.Fatalf("iter %d: dst %d exact index holds %+v under key %x", iter, dst, k.e.Match, k.key)
+				}
+				union = append(union, k.e)
+			}
+			slices.SortFunc(union, cmpEntry)
+			if !same(union, want) {
+				t.Fatalf("iter %d: dst %d entries differ from one-by-one insertion", iter, dst)
 			}
 		}
 		if tab.Len() != seq {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -62,6 +63,10 @@ type ScenarioStats struct {
 	// Reps lists every successful replication's deterministic metrics in
 	// job-ID order — the raw samples cross-run significance tests need.
 	Reps []RepMetrics `json:"reps"`
+
+	// Warnings lists the distinct configuration warnings of the
+	// scenario's jobs, sorted.
+	Warnings []string `json:"warnings,omitempty"`
 }
 
 // RepMetrics is one replication's deterministic measurement, lifted from
@@ -114,6 +119,7 @@ func NewAggregate(name string, recs []Record) *Aggregate {
 		jobs, ok, failed              int
 		p50, p99, max, bufP999, flows []float64
 		reps                          []RepMetrics
+		warnings                      []string
 	}
 	var order []string
 	buckets := make(map[string]*bucket)
@@ -175,9 +181,11 @@ func NewAggregate(name string, recs []Record) *Aggregate {
 			rep.Seed = r.Scenario.Seed
 		}
 		b.reps = append(b.reps, rep)
+		b.warnings = append(b.warnings, res.Warnings...)
 	}
 	for _, key := range order {
 		b := buckets[key]
+		slices.Sort(b.warnings)
 		a.Scenarios = append(a.Scenarios, ScenarioStats{
 			Scenario: key, ConfigDigest: b.digest,
 			Jobs: b.jobs, OK: b.ok, Failed: b.failed,
@@ -187,6 +195,7 @@ func NewAggregate(name string, recs []Record) *Aggregate {
 			BufP999Bytes: summarize(b.bufP999),
 			Flows:        summarize(b.flows),
 			Reps:         b.reps,
+			Warnings:     slices.Compact(b.warnings),
 		})
 	}
 	return a

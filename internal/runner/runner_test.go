@@ -431,3 +431,24 @@ func TestSweepProgressFullRun(t *testing.T) {
 		t.Fatalf("final ETA %.1f ms, want 0", final.EtaMs)
 	}
 }
+
+// TestAggregateWarnings checks that summary.json carries each scenario's
+// distinct job warnings, sorted, and omits the key when there are none.
+func TestAggregateWarnings(t *testing.T) {
+	recs := []Record{
+		{JobID: "a/n4/rpc/l0.30/r0", Status: StatusOK, Result: &Result{Warnings: []string{"w2", "w1"}}},
+		{JobID: "a/n4/rpc/l0.30/r1", Status: StatusOK, Result: &Result{Warnings: []string{"w1"}}},
+		{JobID: "b/n4/rpc/l0.30/r0", Status: StatusOK, Result: &Result{}},
+	}
+	agg := NewAggregate("w", recs)
+	if got := agg.Scenarios[0].Warnings; strings.Join(got, ",") != "w1,w2" {
+		t.Fatalf("scenario a warnings = %q, want [w1 w2]", got)
+	}
+	var js bytes.Buffer
+	if err := agg.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(js.String(), `"warnings"`); n != 1 {
+		t.Fatalf("summary has %d warnings keys, want 1 (scenario b has none):\n%s", n, js.String())
+	}
+}

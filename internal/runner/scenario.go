@@ -152,6 +152,11 @@ type Result struct {
 	EventDigest         string `json:"event_digest,omitempty"`
 	Checkpoints         int    `json:"checkpoints,omitempty"`
 	InvariantViolations uint64 `json:"invariant_violations,omitempty"`
+
+	// Warnings are the architecture's configuration warnings after the
+	// run (arch.Instance.Warnings), e.g. a calendar too shallow for its
+	// routes.
+	Warnings []string `json:"warnings,omitempty"`
 }
 
 // ErrTimeout marks a job attempt that exceeded its wall-clock budget. It
@@ -228,7 +233,7 @@ func (sc Scenario) Run(opt RunOpts) (*Result, error) {
 		return nil, fmt.Errorf("runner: %s: %w", sc.ID, err)
 	}
 
-	res := &Result{FlowsStarted: rp.Started, Events: eng.Processed}
+	res := &Result{FlowsStarted: rp.Started, Events: eng.Processed, Warnings: in.Warnings()}
 	if sc.Profile == ProfileFCT {
 		s := sink.FCTSample(traffic.PortReplay)
 		res.FCTCount = s.N()

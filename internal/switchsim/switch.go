@@ -894,6 +894,10 @@ func (s *Switch) CumulativeTM() core.TM {
 // ActiveQueue exposes the current calendar queue index (tests, Fig. 6).
 func (s *Switch) ActiveQueue() int { return s.active }
 
+// CalendarQueues returns the effective per-port calendar depth: a packet
+// ranked this many slices or more ahead cannot be queued.
+func (s *Switch) CalendarQueues() int { return s.effQueues() }
+
 // QueueBytes returns the actual bytes in calendar queue qi of port id.
 func (s *Switch) QueueBytes(id core.PortID, qi int) int64 {
 	if p := s.portAt(id); p != nil && qi < len(p.queues) {

@@ -48,6 +48,9 @@ type Net struct {
 	started bool
 	// deployGen counts DeployRouting invocations (telemetry).
 	deployGen int
+	// maxRank is the largest calendar rank any route deployed so far
+	// demands (Warnings).
+	maxRank int
 
 	// epoch/reconfigs/lastReprogramNs track mid-run schedule hot-swaps
 	// (Net.Reprogram); the observability plane attributes anomalies to
@@ -333,7 +336,41 @@ func (n *Net) DeployRoutingLayer(prio int, paths []core.Path, lookup core.Lookup
 		return err
 	}
 	n.deployGen++
+	n.maxRank = max(n.maxRank, demandedRank(n.sched, paths))
 	return nil
+}
+
+// demandedRank returns the largest calendar rank, SlicesUntil(arrival,
+// departure), that any hop of paths asks a switch to hold a packet for.
+// A hop arrives in the path's slice or in its previous hop's departure
+// slice, as the compiled matches do.
+func demandedRank(s *core.Schedule, paths []core.Path) int {
+	r := 0
+	for i := range paths {
+		arr := paths[i].TS
+		for _, h := range paths[i].Hops {
+			r = max(r, s.SlicesUntil(arr, h.DepSlice))
+			arr = h.DepSlice
+		}
+	}
+	return r
+}
+
+// Warnings describes deployed configurations that make results
+// misleading without failing the run: routes that ask a switch to hold
+// packets for more slices than its calendar has queues, with offload off,
+// so every such packet is dropped on wrap-around. It returns at most one
+// warning, for the largest rank any deployment demanded.
+func (n *Net) Warnings() []string {
+	if len(n.switches) == 0 || n.Cfg.OffloadRank > 0 {
+		return nil
+	}
+	q := n.switches[0].CalendarQueues()
+	if n.maxRank < q {
+		return nil
+	}
+	return []string{fmt.Sprintf("routes demand calendar rank %d but switches have %d calendar queues and offload is off: packets ranked %d or more are dropped on wrap-around",
+		n.maxRank, q, q)}
 }
 
 // ClearRoutingLayer removes a priority layer (e.g. expired circuit routes).
