@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"openoptics"
 	"openoptics/internal/core"
 	"openoptics/internal/traffic"
 )
@@ -205,5 +206,22 @@ func TestCalendarDepthWarning(t *testing.T) {
 	}
 	if ws := in.Warnings(); len(ws) != 0 {
 		t.Fatalf("16 ToRs: unexpected warnings %q", ws)
+	}
+
+	// Offload deeper than the calendar still drops ranks 32..39; offload
+	// inside the calendar parks every rank the calendar cannot hold.
+	offload := func(rank int) []string {
+		in, err := RotorNet(Options{Nodes: 64, Tune: func(c *openoptics.Config) { c.OffloadRank = rank }}, SchemeVLB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.Warnings()
+	}
+	ws = offload(40)
+	if len(ws) != 1 || !strings.HasSuffix(ws[0], "32 calendar queues and offload starts at rank 40: packets ranked 32 to 39 are dropped on wrap-around") {
+		t.Fatalf("offload rank 40: warnings %q, want one naming ranks 32 to 39", ws)
+	}
+	if ws := offload(16); len(ws) != 0 {
+		t.Fatalf("offload rank 16: unexpected warnings %q", ws)
 	}
 }

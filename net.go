@@ -358,19 +358,25 @@ func demandedRank(s *core.Schedule, paths []core.Path) int {
 
 // Warnings describes deployed configurations that make results
 // misleading without failing the run: routes that ask a switch to hold
-// packets for more slices than its calendar has queues, with offload off,
-// so every such packet is dropped on wrap-around. It returns at most one
-// warning, for the largest rank any deployment demanded.
+// packets for more slices than its calendar has queues, while offload is
+// off or starts deeper than the calendar, so every packet ranked between
+// the calendar depth and the offload rank is dropped on wrap-around. It
+// returns at most one warning, for the largest rank any deployment
+// demanded.
 func (n *Net) Warnings() []string {
-	if len(n.switches) == 0 || n.Cfg.OffloadRank > 0 {
+	if len(n.switches) == 0 {
 		return nil
 	}
-	q := n.switches[0].CalendarQueues()
-	if n.maxRank < q {
+	q, off := n.switches[0].CalendarQueues(), n.Cfg.OffloadRank
+	if n.maxRank < q || (off > 0 && off <= q) {
 		return nil
 	}
-	return []string{fmt.Sprintf("routes demand calendar rank %d but switches have %d calendar queues and offload is off: packets ranked %d or more are dropped on wrap-around",
-		n.maxRank, q, q)}
+	if off == 0 {
+		return []string{fmt.Sprintf("routes demand calendar rank %d but switches have %d calendar queues and offload is off: packets ranked %d or more are dropped on wrap-around",
+			n.maxRank, q, q)}
+	}
+	return []string{fmt.Sprintf("routes demand calendar rank %d but switches have %d calendar queues and offload starts at rank %d: packets ranked %d to %d are dropped on wrap-around",
+		n.maxRank, q, off, q, min(n.maxRank, off-1))}
 }
 
 // ClearRoutingLayer removes a priority layer (e.g. expired circuit routes).
