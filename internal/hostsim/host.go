@@ -8,6 +8,8 @@
 package hostsim
 
 import (
+	"slices"
+
 	"openoptics/internal/core"
 	"openoptics/internal/fabric"
 	"openoptics/internal/sim"
@@ -127,6 +129,7 @@ type Host struct {
 
 	// Traffic accounting.
 	pendingByDst map[core.NodeID]int64
+	reportDsts   []core.NodeID // sendReports scratch
 
 	Counters Counters
 }
@@ -419,15 +422,22 @@ func (h *Host) park(pkt *core.Packet) {
 func (h *Host) ParkedPackets() int { return h.parked }
 
 // sendReports emits per-destination pending-byte reports toward the ToR
-// (the host side of collect(); the switch already observes sent bytes).
+// (the host side of collect(); the switch already observes sent bytes),
+// in destination order so the run does not depend on map iteration.
 func (h *Host) sendReports() {
 	if h.link == nil {
 		return
 	}
+	dsts := h.reportDsts[:0]
 	for dst, bytes := range h.pendingByDst {
-		if bytes <= 0 {
-			continue
+		if bytes > 0 {
+			dsts = append(dsts, dst)
 		}
+	}
+	slices.Sort(dsts)
+	h.reportDsts = dsts
+	for _, dst := range dsts {
+		bytes := h.pendingByDst[dst]
 		h.Counters.ReportsSent++
 		rep := h.Pool.NewPacket(core.Packet{
 			ID:       h.rng.Uint64(),

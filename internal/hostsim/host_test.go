@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -226,6 +227,28 @@ func TestTrafficReports(t *testing.T) {
 	}
 	if h.Counters.ReportsSent == 0 {
 		t.Fatal("ReportsSent not counted")
+	}
+}
+
+// TestTrafficReportsInDestinationOrder: one report batch lists its
+// destinations in ascending order, whatever order the traffic arrived in,
+// so runs with reports on are deterministic.
+func TestTrafficReportsInDestinationOrder(t *testing.T) {
+	eng, h, tor := newHostRig(Config{
+		FlowPausing: true, ElephantBytes: 1000, ReportInterval: 50_000})
+	for _, dst := range []core.NodeID{5, 2, 7, 3, 6} {
+		h.Send(pktTo(dst, 1500, 1))
+		h.Send(pktTo(dst, 1500, 1))
+	}
+	eng.RunUntil(60_000)
+	var got []core.NodeID
+	for _, pkt := range tor.pkts {
+		if pkt.Ctrl == core.CtrlReport {
+			got = append(got, pkt.CtrlNode)
+		}
+	}
+	if want := []core.NodeID{2, 3, 5, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("report destinations %v, want %v", got, want)
 	}
 }
 
