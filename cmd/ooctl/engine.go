@@ -21,8 +21,9 @@ func runEngine(args []string) int {
 
   chains    causality ledger: top event chains, scheduling edges, and the
             merge analysis (which edges a fused dispatch would eliminate)
-  pressure  scheduler pressure: calendar residency, inline/spill/overflow
-            push rates, churn counters, bucket occupancy, packet pool
+  pressure  scheduler pressure: calendar residency, wheel/cursor/overflow
+            push rates, bucket sorts, churn counters, bucket occupancy,
+            packet pool
   shards    sharding feasibility: cross-partition event-flow matrix and
             the minimum cross-partition lookahead (conservative-sync window)`)
 		fs.PrintDefaults()

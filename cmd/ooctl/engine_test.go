@@ -21,8 +21,8 @@ func writeEngineFixture(t *testing.T, mutate func(map[string]any)) string {
 		"events_per_packet": 14.0,
 		"pressure": map[string]any{
 			"pending_events": 3,
-			"inline_pushes":  900,
-			"spill_pushes":   100,
+			"wheel_pushes":   900,
+			"cursor_pushes":  100,
 		},
 	}
 	if mutate != nil {

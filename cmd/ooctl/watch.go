@@ -156,12 +156,13 @@ func renderSnapshot(s *openoptics.NetSnapshot, rateSuffix string) string {
 		float64(s.TimeNs)/1e6, s.Slice, s.NumSlices, s.Events, len(s.Optical.Circuits),
 		s.Epoch, s.Reconfigs)
 	e := s.Engine
-	spillPct := 0.0
-	if pushes := e.InlinePushes + e.SpillPushes + e.OverflowPushes; pushes > 0 {
-		spillPct = 100 * float64(e.SpillPushes+e.OverflowPushes) / float64(pushes)
+	cursorPct, overflowPct := 0.0, 0.0
+	if pushes := e.WheelPushes + e.CursorPushes + e.OverflowPushes; pushes > 0 {
+		cursorPct = 100 * float64(e.CursorPushes) / float64(pushes)
+		overflowPct = 100 * float64(e.OverflowPushes) / float64(pushes)
 	}
-	fmt.Fprintf(&b, "engine: pending %d (max wheel %d)  spill %.2f%%  resorts %d  pool %d live / %d hw / %d slabs%s\n",
-		e.PendingEvents, e.MaxWheelEvents, spillPct, e.Resorts,
+	fmt.Fprintf(&b, "engine: pending %d (max wheel %d)  cursor %.2f%%  overflow %.2f%%  chunks %d  pool %d live / %d hw / %d slabs%s\n",
+		e.PendingEvents, e.MaxWheelEvents, cursorPct, overflowPct, e.ChunksInUse,
 		s.Pool.Outstanding, s.Pool.HighWater, s.Pool.Slabs, rateSuffix)
 	if d := s.Digest; d != nil {
 		fmt.Fprintf(&b, "auditor: events %d  windows %d  chain %s  checkpoints %d  violations %d\n",

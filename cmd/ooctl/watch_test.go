@@ -44,8 +44,10 @@ func cannedSnapshot() *openoptics.NetSnapshot {
 	s.Totals.DropsCongest = 2
 	s.Engine.PendingEvents = 17
 	s.Engine.MaxWheelEvents = 42
-	s.Engine.InlinePushes = 900
-	s.Engine.SpillPushes = 100
+	s.Engine.WheelPushes = 880
+	s.Engine.CursorPushes = 100
+	s.Engine.OverflowPushes = 20
+	s.Engine.ChunksInUse = 5
 	s.Pool.Gets = 500
 	s.Pool.Outstanding = 3
 	s.Pool.HighWater = 7
@@ -74,16 +76,17 @@ func TestWatchRendersSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"slice 2/3",       // header slice position
-		"events 12345",    // engine progress
-		"circuits 1",      // OCS state
-		"N0",              // per-switch rows
-		"3000",            // buffered bytes
-		"1500*",           // active queue marked
-		"drops",           // column header
+		"slice 2/3",    // header slice position
+		"events 12345", // engine progress
+		"circuits 1",   // OCS state
+		"N0",           // per-switch rows
+		"3000",         // buffered bytes
+		"1500*",        // active queue marked
+		"drops",        // column header
 		"totals: rx 10  tx 9  delivered 8  drops 2",
 		"engine: pending 17 (max wheel 42)", // scheduler-pressure line
-		"spill 10.00%",                      // spill share of pushes
+		"cursor 10.00%  overflow 2.00%",     // push split
+		"chunks 5",                          // bucket chunks in use
 		"pool 3 live / 7 hw / 1 slabs",      // packet-pool occupancy
 	} {
 		if !strings.Contains(frame, want) {

@@ -60,8 +60,8 @@ func TestEngineReportEndToEnd(t *testing.T) {
 	if r.Pressure == nil || r.Pool == nil || r.Ledger == nil || r.Shards == nil {
 		t.Fatalf("missing sections: %+v", r)
 	}
-	if r.Pressure.InlinePushes+r.Pressure.SpillPushes == 0 {
-		t.Fatal("no pushes recorded")
+	if p := r.Pressure; p.WheelPushes == 0 || p.InsertionSorts+p.CountingSorts == 0 || p.ChunkPool == 0 {
+		t.Fatalf("pressure section recorded no wheel pushes, sorts or chunks: %+v", p)
 	}
 	if r.Pool.Gets != r.Packets || r.Pool.HighWater == 0 {
 		t.Fatalf("pool section = %+v vs packets %d", r.Pool, r.Packets)
@@ -153,7 +153,7 @@ func TestSnapshotCarriesEngineAndPool(t *testing.T) {
 	probeTraffic(t, n, int64(time.Millisecond))
 	n.Run(time.Millisecond)
 	snap := n.Snapshot()
-	if snap.Engine.InlinePushes+snap.Engine.SpillPushes == 0 {
+	if snap.Engine.WheelPushes+snap.Engine.CursorPushes == 0 {
 		t.Fatalf("snapshot engine section empty: %+v", snap.Engine)
 	}
 	if snap.Pool.Gets == 0 || snap.Pool.HighWater == 0 {
@@ -173,7 +173,10 @@ func TestRegistryExportsPoolAndSchedMetrics(t *testing.T) {
 	for _, want := range []string{
 		"oo_pool_gets_total",
 		"oo_pool_high_water",
-		"oo_sched_inline_pushes_total",
+		"oo_sched_wheel_pushes_total",
+		"oo_sched_cursor_pushes_total",
+		"oo_sched_counting_sorts_total",
+		"oo_sched_chunk_pool",
 		"oo_sched_pending_events",
 		"oo_sched_bucket_occupancy_total",
 	} {

@@ -70,22 +70,27 @@ func RenderPressure(w io.Writer, r *Report) {
 		fmt.Fprintln(w, "no pressure section")
 		return
 	}
+	if r.SchemaVersion < 2 {
+		fmt.Fprintln(w, "pressure section predates schema 2 (inline/spill bucket storage): re-record the run")
+		return
+	}
 	p := r.Pressure
 	fmt.Fprintf(w, "\nresidency: pending=%d wheel=%d overflow=%d (max wheel=%d overflow=%d)\n",
 		p.PendingEvents, p.WheelEvents, p.OverflowEvents, p.MaxWheelEvents, p.MaxOverflowEvents)
-	fmt.Fprintf(w, "storage:   slab=%d free=%d drainbuf-cap=%d\n",
-		p.SlabCap, p.FreeSlots, p.DrainBufCap)
-	pushes := p.InlinePushes + p.SpillPushes + p.OverflowPushes
-	inPct, spPct, ovPct := 0.0, 0.0, 0.0
-	if pushes > 0 {
-		inPct = 100 * float64(p.InlinePushes) / float64(pushes)
-		spPct = 100 * float64(p.SpillPushes) / float64(pushes)
-		ovPct = 100 * float64(p.OverflowPushes) / float64(pushes)
+	fmt.Fprintf(w, "storage:   slab=%d free=%d chunks=%d in use / %d pooled\n",
+		p.SlabCap, p.FreeSlots, p.ChunksInUse, p.ChunkPool)
+	pushes := p.WheelPushes + p.CursorPushes + p.OverflowPushes
+	pct := func(v uint64) float64 {
+		if pushes == 0 {
+			return 0
+		}
+		return 100 * float64(v) / float64(pushes)
 	}
-	fmt.Fprintf(w, "pushes:    inline=%d (%.2f%%) spill=%d (%.2f%%) overflow=%d (%.2f%%)\n",
-		p.InlinePushes, inPct, p.SpillPushes, spPct, p.OverflowPushes, ovPct)
-	fmt.Fprintf(w, "churn:     migrations=%d resorts=%d reanchors=%d\n",
-		p.Migrations, p.Resorts, p.Reanchors)
+	fmt.Fprintf(w, "pushes:    wheel=%d (%.2f%%) cursor=%d (%.2f%%) overflow=%d (%.2f%%, %d behind the window)\n",
+		p.WheelPushes, pct(p.WheelPushes), p.CursorPushes, pct(p.CursorPushes),
+		p.OverflowPushes, pct(p.OverflowPushes), p.BehindPushes)
+	fmt.Fprintf(w, "sorts:     insertion=%d counting=%d\n", p.InsertionSorts, p.CountingSorts)
+	fmt.Fprintf(w, "churn:     migrations=%d reanchors=%d\n", p.Migrations, p.Reanchors)
 
 	fmt.Fprintf(w, "\nbucket occupancy after push (depth: pushes)\n")
 	for i, c := range p.BucketOccupancy {

@@ -20,7 +20,7 @@ import (
 )
 
 // SchemaVersion identifies the engine-report JSON layout.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Report is the complete engine-observatory report. Every collection is a
 // slice in a defined order (never a map), so marshaling is byte-

@@ -147,9 +147,11 @@ func fullReport() *Report {
 		Packets:         packets,
 		EventsPerPacket: EventsPerPacketOf(events, packets),
 		Ledger:          BuildLedger(ledgeredRun(), packets),
-		Pressure:        &sim.SchedPressure{PendingEvents: 3, InlinePushes: 90, SpillPushes: 10},
-		Shards:          BuildShards(p, 8),
-		Pool:            BuildPool(core.PoolStats{Gets: 10, Puts: 8, Outstanding: 2, HighWater: 5, Slabs: 1}),
+		Pressure: &sim.SchedPressure{PendingEvents: 3, WheelPushes: 80, CursorPushes: 15,
+			OverflowPushes: 5, BehindPushes: 1, InsertionSorts: 30, CountingSorts: 2,
+			ChunkPool: 12, ChunksInUse: 4},
+		Shards: BuildShards(p, 8),
+		Pool:   BuildPool(core.PoolStats{Gets: 10, Puts: 8, Outstanding: 2, HighWater: 5, Slabs: 1}),
 	}
 	return r
 }
@@ -203,6 +205,29 @@ func TestRenderChainsNamesMergeableEdges(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("chains render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestRenderPressureSplitsPushes(t *testing.T) {
+	var b bytes.Buffer
+	RenderPressure(&b, fullReport())
+	out := b.String()
+	for _, want := range []string{
+		"chunks=4 in use / 12 pooled",
+		"wheel=80 (80.00%) cursor=15 (15.00%) overflow=5 (5.00%, 1 behind the window)",
+		"sorts:     insertion=30 counting=2",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("pressure render missing %q:\n%s", want, out)
+		}
+	}
+	// A schema-1 report's pressure section names storage that is gone.
+	r := fullReport()
+	r.SchemaVersion = 1
+	b.Reset()
+	RenderPressure(&b, r)
+	if !strings.Contains(b.String(), "predates schema 2") || strings.Contains(b.String(), "pushes:") {
+		t.Fatalf("schema-1 pressure render: %q", b.String())
 	}
 }
 

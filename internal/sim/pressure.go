@@ -55,28 +55,40 @@ func itoa(v int) string {
 // SchedPressure is a point-in-time snapshot of scheduler pressure. All
 // fields are plain values so the struct marshals deterministically.
 type SchedPressure struct {
-	// Residency now.
+	// Residency now. OverflowEvents counts every event outside the wheel
+	// window: the overflow heap and the behind-window heap.
 	PendingEvents  int `json:"pending_events"`
 	WheelEvents    int `json:"wheel_events"`
 	OverflowEvents int `json:"overflow_events"`
 	SlabCap        int `json:"slab_cap"`
 	FreeSlots      int `json:"free_slots"`
-	DrainBufCap    int `json:"drain_buf_cap"`
+	// ChunkPool is the number of bucket chunks ever allocated. The pool
+	// grows only when no chunk is free, so it is also the high water of
+	// ChunksInUse.
+	ChunkPool   int `json:"chunk_pool"`
+	ChunksInUse int `json:"chunks_in_use"`
 
-	// Cumulative counters since engine construction.
-	InlinePushes   uint64 `json:"inline_pushes"`
-	SpillPushes    uint64 `json:"spill_pushes"`
+	// Cumulative counters since engine construction. Every push is
+	// exactly one of WheelPushes (appended to a bucket), CursorPushes
+	// (into the sorted cursor bucket) and OverflowPushes (outside the
+	// window); BehindPushes is the part of OverflowPushes that landed
+	// before the window start.
+	WheelPushes    uint64 `json:"wheel_pushes"`
+	CursorPushes   uint64 `json:"cursor_pushes"`
 	OverflowPushes uint64 `json:"overflow_pushes"`
+	BehindPushes   uint64 `json:"behind_pushes"`
 	Migrations     uint64 `json:"migrations"`
-	Resorts        uint64 `json:"resorts"`
+	InsertionSorts uint64 `json:"insertion_sorts"`
+	CountingSorts  uint64 `json:"counting_sorts"`
 	Reanchors      uint64 `json:"reanchors"`
 
 	// High-water marks.
 	MaxWheelEvents    int `json:"max_wheel_events"`
 	MaxOverflowEvents int `json:"max_overflow_events"`
 
-	// BucketOccupancy[i] counts pushes that left their bucket at a depth in
-	// occupancy class i (see OccLabel). Index 0 is unused.
+	// BucketOccupancy[i] counts wheel and cursor pushes that left their
+	// bucket at a depth in occupancy class i (see OccLabel). Index 0 is
+	// unused.
 	BucketOccupancy [occBuckets]uint64 `json:"bucket_occupancy"`
 }
 
@@ -86,16 +98,19 @@ func (e *Engine) SchedPressure() SchedPressure {
 	return SchedPressure{
 		PendingEvents:     s.n,
 		WheelEvents:       s.wheelCount,
-		OverflowEvents:    len(s.overflow),
+		OverflowEvents:    len(s.overflow) + len(s.behind),
 		SlabCap:           len(s.slab),
 		FreeSlots:         len(s.free),
-		DrainBufCap:       cap(s.drainBuf),
-		InlinePushes:      s.inlinePushes,
-		SpillPushes:       s.spillPushes,
+		ChunkPool:         len(s.chunks),
+		ChunksInUse:       len(s.chunks) - len(s.freeChunks),
+		WheelPushes:       s.wheelPushes,
+		CursorPushes:      s.cursorPushes,
 		OverflowPushes:    s.overflowPushes,
+		BehindPushes:      s.behindPushes,
 		Migrations:        s.migrations,
-		Resorts:           s.resorts,
-		Reanchors:         s.anchorGen,
+		InsertionSorts:    s.insertionSorts,
+		CountingSorts:     s.countingSorts,
+		Reanchors:         s.reanchors,
 		MaxWheelEvents:    s.maxWheel,
 		MaxOverflowEvents: s.maxOverflow,
 		BucketOccupancy:   s.occ,

@@ -74,3 +74,64 @@ func TestReportProgress(t *testing.T) {
 		}
 	}
 }
+
+// mixedWorkload runs a fixed mixed-class workload — five instants with
+// eight same-instant events each, plus drain-triggered cascades — and
+// returns the per-class profile.
+func mixedWorkload() []ClassStats {
+	e := New()
+	e.EnableProfiling(true)
+	classes := []Class{ClassLinkDeliver, ClassSwitchIngress, ClassSwitchDrain, ClassHostTx}
+	spin := 0
+	for i := 0; i < 40; i++ {
+		c := classes[i%len(classes)]
+		t0 := int64((i % 5) * 100)
+		e.AtClass(t0, c, func() {
+			// Enough work that wall-time attribution is measurable.
+			for k := 0; k < 2000; k++ {
+				spin += k
+			}
+			if c == ClassSwitchDrain {
+				e.AfterClass(50, ClassLinkDeliver, func() {})
+			}
+		})
+	}
+	e.Run()
+	_ = spin
+	return e.ProfileStats()
+}
+
+func countsOf(stats []ClassStats) map[Class]uint64 {
+	m := map[Class]uint64{}
+	for _, s := range stats {
+		m[s.Class] = s.Count
+	}
+	return m
+}
+
+// TestProfileStatsDeterministicAcrossRuns: per-class counts follow the
+// workload exactly and are identical run to run, and every class that has
+// a count also accumulated wall time (wall time is real time and may
+// differ).
+func TestProfileStatsDeterministicAcrossRuns(t *testing.T) {
+	first := mixedWorkload()
+	a := countsOf(first)
+	if a[ClassLinkDeliver] != 20 || a[ClassSwitchDrain] != 10 ||
+		a[ClassSwitchIngress] != 10 || a[ClassHostTx] != 10 || len(a) != 4 {
+		t.Fatalf("counts %v, want 10 per class plus 10 drain-spawned link.delivers", a)
+	}
+	for _, s := range first {
+		if s.WallNs <= 0 {
+			t.Fatalf("class %s count=%d but wall=%d", s.Class, s.Count, s.WallNs)
+		}
+	}
+	b := countsOf(mixedWorkload())
+	if len(a) != len(b) {
+		t.Fatalf("class sets differ: %v vs %v", a, b)
+	}
+	for c, n := range a {
+		if b[c] != n {
+			t.Fatalf("class %s: %d vs %d across identical runs", c, n, b[c])
+		}
+	}
+}

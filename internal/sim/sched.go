@@ -12,39 +12,59 @@ import (
 // kept in a slab with a free list. The structure deliberately mirrors the
 // paper's §5 calendar queues: the wheel buckets are "slices" of real time
 // and the cursor is the rotation. Steady-state scheduling performs zero
-// heap allocations — every backing array (buckets, overflow, slab, free
-// list) is reused across events.
+// heap allocations — every backing array (chunks, runs, heaps, slab, free
+// lists) is reused across events.
 //
-// Bucket storage is two-level: each bucket holds a small sorted run of
-// items inline in the wheel array itself, spilling deeper buckets to a
-// per-bucket 4-ary heap. The hot workload is a self-sustaining cascade —
-// each handler schedules its successors a few hundred ns out, so most
-// traffic flows through the cursor bucket. Sparse buckets stay in one or
-// two cache lines; at line-rate densities most buckets outgrow the inline
-// run. On the 16-ToR rotornet-vlb benchmark (rpc load 0.3, 50 ms) 21% of
-// pushes land inline, 78% spill and 1% overflow (1.89 M, 6.95 M and
-// 0.10 M of 8.93 M).
+// A bucket is an unsorted, append-only list of fixed-size chunks drawn
+// from one shared pool, so memory follows the number of pending events
+// rather than buckets × peak depth. A push is an append. When the cursor
+// reaches a bucket, its items are gathered into one run and sorted once:
+// insertion sort for short runs, a stable counting sort on the 6-bit
+// in-bucket time offset for longer ones. Events pushed into the cursor
+// bucket after that go to a small heap merged at pop. On the 16-ToR
+// rotornet-vlb benchmark (rpc load 0.3, 50 ms, seed 7) 79% of pushes
+// append to a bucket, 20% land in the sorted cursor bucket and 1%
+// overflow (7.09 M, 1.75 M and 0.10 M of 8.94 M); 82% of the 0.52 M
+// bucket sorts take the insertion path, and the chunk pool peaks at
+// 1,394 chunks (279 KB).
 //
 // Determinism: the scheduler realizes the exact (t, seq) total order the
-// seed engine's binary heap produced. pop/peek select the (t, seq)-minimum
-// across inline items and spill heap; the overflow heap uses the same key;
-// the run loop always compares the earliest wheel candidate against the
-// overflow top, so no structural migration can reorder events.
+// seed engine's binary heap produced. The heaps and the insertion sort
+// compare (t, seq). The counting sort orders by t alone and keeps append
+// order among equal times, which is seq order:
+//
+//   - direct pushes arrive in seq order (the engine numbers them as it
+//     pushes them);
+//   - overflow events migrate, in (t, seq) order, into a bucket when it
+//     enters the window, before any direct push can reach that bucket;
+//   - pushes into the cursor bucket after it was sorted go to the cursor
+//     heap, never into the sorted run;
+//   - pushes behind the window go to the behind heap, not into overflow,
+//     where they would block migration.
+//
+// The stores are separated by time: behind < cursor bucket < later
+// buckets < overflow, so a pop compares only the cursor run against the
+// cursor heap.
 
-// Wheel geometry. Bucket width 512 ns and 1024 buckets give a ~524 µs
+// Wheel geometry. Bucket width 64 ns and 8192 buckets give a ~524 µs
 // horizon: slice rotations (tens to hundreds of µs), wire propagation, and
 // serialization completions all land in the wheel, while RTO checks and
-// long timers overflow to the heap. The narrow bucket keeps per-bucket
-// resident sets near the inline capacity at line-rate event densities
-// (one event every few tens of ns), so the spill heaps stay shallow;
-// coarser widths (4096 ns) measured slower end to end because buckets
-// ballooned past the inline region into the heaps.
+// long timers overflow to the heap. The 64 ns width keeps most buckets at
+// or below the insertion-sort cutoff at line-rate event densities and the
+// counting sort to 64 counters.
 const (
-	wheelShift   = 9 // log2 of bucket width in ns
+	wheelShift   = 6 // log2 of bucket width in ns
 	bucketWidth  = int64(1) << wheelShift
-	wheelBuckets = 1024
+	wheelBuckets = 8192
 	wheelMask    = wheelBuckets - 1
 	wheelSpan    = bucketWidth * wheelBuckets
+)
+
+// chunkItems is the capacity of one pooled bucket chunk; insertionMax is
+// the longest run sorted by insertion rather than by counting.
+const (
+	chunkItems   = 8
+	insertionMax = 16
 )
 
 // item is one queued event's sort key plus the slab slot of its payload.
@@ -86,101 +106,53 @@ type eventRec struct {
 	chain int32
 }
 
-// bucketInline is the per-bucket inline capacity. The hot pattern is a
-// self-sustaining cascade around the cursor — pop an event, its handler
-// schedules its successors a few hundred ns out. Eight slots hold a
-// sparse bucket; at line rate most pushes find the bucket deeper than
-// that and go to its spill heap (see the split in the file comment).
-const bucketInline = 8
+// chunk is one pooled block of a bucket's append-only item list.
+type chunk struct {
+	items [chunkItems]item
+	next  int32 // following chunk of the same bucket
+}
 
-// bucket is one calendar slot: up to bucketInline items held in the wheel
-// array itself, sorted descending by (t, seq) so the minimum is the last
-// inline element and pop is a counter decrement; deeper buckets spill to a
-// per-bucket 4-ary heap. For the resident sets this workload produces, the
-// sorted array beats a heap: pops are free, pushes are a ≤8-element scan
-// plus a ≤112-byte memmove, and everything stays in L1.
+// bucket is one calendar slot: n unsorted items in append order, filling
+// the chunks head → … → tail in turn. head and tail are meaningful only
+// while n > 0.
 type bucket struct {
-	inline [bucketInline]item
-	ni     int32
-	spill  bucketHeap
+	head, tail int32
+	n          int32
 }
 
-func (b *bucket) empty() bool { return b.ni == 0 && len(b.spill) == 0 }
+// Sources peek can select the next event from.
+const (
+	srcRun = iota
+	srcCursor
+	srcBehind
+	srcOverflow
+)
 
-func (b *bucket) size() int { return int(b.ni) + len(b.spill) }
-
-func (b *bucket) push(it item) {
-	if b.ni == bucketInline {
-		b.spill.push(it)
-		return
-	}
-	// Insert keeping descending (t, seq) order: find the first resident
-	// smaller than it, shift the tail down one.
-	j := int32(0)
-	for j < b.ni && !itemLess(b.inline[j], it) {
-		j++
-	}
-	copy(b.inline[j+1:b.ni+1], b.inline[j:b.ni])
-	b.inline[j] = it
-	b.ni++
-}
-
-// peek returns the (t, seq)-minimum item without removing it. Requires a
-// non-empty bucket. Spilled items are not ordered relative to inline ones,
-// so the inline minimum is always compared against the spill top.
-func (b *bucket) peek() item {
-	if b.ni == 0 {
-		return b.spill[0]
-	}
-	m := b.inline[b.ni-1]
-	if len(b.spill) > 0 && itemLess(b.spill[0], m) {
-		return b.spill[0]
-	}
-	return m
-}
-
-// pop removes and returns the (t, seq)-minimum item. Requires a non-empty
-// bucket. The selection mirrors peek exactly.
-func (b *bucket) pop() item {
-	if b.ni == 0 {
-		return b.spill.pop()
-	}
-	m := b.inline[b.ni-1]
-	if len(b.spill) > 0 && itemLess(b.spill[0], m) {
-		return b.spill.pop()
-	}
-	b.ni--
-	return m
-}
-
-// scheduler is the hybrid calendar-queue/heap event store.
+// scheduler is the calendar-queue/heap event store.
 type scheduler struct {
 	slab []eventRec
 	free []int32 // reusable slab slots
 
 	wheel       [wheelBuckets]bucket
-	wheelCount  int // events resident in the wheel
-	cursor      int // bucket covering [cursorStart, cursorStart+bucketWidth)
-	cursorStart int64
+	chunks      []chunk
+	freeChunks  []int32
+	wheelCount  int   // events in the window: buckets, run and cursor heap
+	cursor      int   // bucket covering [cursorStart, cursorEnd)
+	cursorStart int64 // aligned to bucketWidth
+	cursorEnd   int64
 	wheelEnd    int64 // exclusive horizon of the wheel window
 
-	overflow bucketHeap // events outside [cursorStart, wheelEnd)
+	// The cursor bucket, sorted: run[runPos:] holds what it held when the
+	// cursor reached it, cursorHeap what was pushed into it since.
+	run        []item
+	runPos     int
+	spare      []item // counting-sort output buffer, swapped with run
+	cursorHeap itemHeap
 
-	// Drain buffer for batched dispatch (Engine.RunUntil): a deep front
-	// bucket's events, sorted ascending once and consumed front-to-back.
-	// Consuming a sorted array replaces a heap sift per pop with an index
-	// increment. Events a handler pushes into the bucket mid-drain go
-	// through the bucket as usual (it is empty at drain start) and the run
-	// loop merges the two sources by (t, seq).
-	drainBuf []item
-	drainPos int
+	behind   itemHeap // events before cursorStart
+	overflow itemHeap // events at or after wheelEnd
 
-	// anchorGen counts window re-anchors. A batch drain caches it: if a
-	// re-anchor happens mid-batch (only possible after the queue fully
-	// drained inside a handler), bucket indexes alias to new time windows
-	// and the batch must fall back to min() rather than keep popping from
-	// its — now unrelated — bucket.
-	anchorGen uint64
+	src int // where the event peek located sits
 
 	n int // total queued events
 
@@ -188,14 +160,17 @@ type scheduler struct {
 	// integer operations per push keeps the cost in the noise, and having
 	// the counters unconditionally live means `ooctl engine pressure` and
 	// /snapshot never need a flag flip to explain a slow run.
-	inlinePushes   uint64 // pushes landing in a bucket's inline array
-	spillPushes    uint64 // pushes landing in a bucket's spill heap
-	overflowPushes uint64 // pushes landing in the overflow heap
-	migrations     uint64 // overflow→wheel migrations (drain)
-	resorts        uint64 // drain-buffer sorts (beginDrain deep path)
+	wheelPushes    uint64 // pushes appended to a bucket
+	cursorPushes   uint64 // pushes into the sorted cursor bucket
+	overflowPushes uint64 // pushes outside the window, behind it included
+	behindPushes   uint64 // pushes behind the window
+	migrations     uint64 // overflow→wheel migrations
+	insertionSorts uint64
+	countingSorts  uint64
+	reanchors      uint64
 	occ            [occBuckets]uint64
 	maxWheel       int // high-water wheel residency
-	maxOverflow    int // high-water overflow residency
+	maxOverflow    int // high-water overflow + behind residency
 }
 
 func satAdd(a, b int64) int64 {
@@ -206,12 +181,17 @@ func satAdd(a, b int64) int64 {
 }
 
 // anchor re-bases the wheel window so t falls in the cursor bucket. Only
-// legal when the wheel is empty (bucket indices would alias otherwise).
+// legal when the window is empty (bucket indices would alias otherwise).
 func (s *scheduler) anchor(t int64) {
 	s.cursor = int(t>>wheelShift) & wheelMask
-	s.cursorStart = (t >> wheelShift) << wheelShift
-	s.wheelEnd = satAdd(s.cursorStart, wheelSpan)
-	s.anchorGen++
+	s.setCursorStart(t >> wheelShift << wheelShift)
+	s.reanchors++
+}
+
+func (s *scheduler) setCursorStart(t int64) {
+	s.cursorStart = t
+	s.cursorEnd = satAdd(t, bucketWidth)
+	s.wheelEnd = satAdd(t, wheelSpan)
 }
 
 // push enqueues an event at time t with scheduling order seq.
@@ -229,62 +209,122 @@ func (s *scheduler) push(t int64, seq uint64, rec eventRec) {
 	if s.n == 0 {
 		s.anchor(t)
 	}
-	if t >= s.cursorStart && t < s.wheelEnd {
-		b := &s.wheel[int(t>>wheelShift)&wheelMask]
-		if b.ni == bucketInline {
-			s.spillPushes++
-		} else {
-			s.inlinePushes++
-		}
-		b.push(it)
-		s.occ[occIndex(b.size())]++
-		s.wheelCount++
-		if s.wheelCount > s.maxWheel {
-			s.maxWheel = s.wheelCount
-		}
-	} else {
-		// Far future — or, rarely, between "now" and a wheel window that
-		// jumped ahead (idle engine at a deadline with a distant timer
-		// pending). Both cases are correct here: the run loop always
-		// compares the overflow top against the wheel candidate.
-		s.overflowPushes++
-		s.overflow.push(it)
-		if len(s.overflow) > s.maxOverflow {
-			s.maxOverflow = len(s.overflow)
-		}
-	}
 	s.n++
+	switch {
+	case t >= s.cursorEnd && t < s.wheelEnd:
+		b := &s.wheel[int(t>>wheelShift)&wheelMask]
+		s.appendItem(b, it)
+		s.wheelPushes++
+		s.occ[occIndex(int(b.n))]++
+	case t >= s.cursorStart && t < s.cursorEnd:
+		s.cursorHeap.push(it)
+		s.cursorPushes++
+		s.occ[occIndex(len(s.run)-s.runPos+len(s.cursorHeap))]++
+	default:
+		s.overflowPushes++
+		if t < s.cursorStart {
+			// The cursor is ahead of the clock (a RunUntil deadline fell
+			// before the next event), or the window was anchored at an
+			// earlier push with a later time.
+			s.behindPushes++
+			s.behind.push(it)
+		} else {
+			s.overflow.push(it)
+		}
+		if k := len(s.overflow) + len(s.behind); k > s.maxOverflow {
+			s.maxOverflow = k
+		}
+		return
+	}
+	s.wheelCount++
+	if s.wheelCount > s.maxWheel {
+		s.maxWheel = s.wheelCount
+	}
 }
 
-// min returns the bucket holding the globally earliest event, advancing
-// the cursor past empty buckets and migrating overflow events that entered
-// the wheel window — or nil when the overflow heap holds the globally
-// earliest event. Requires n > 0.
-func (s *scheduler) min() *bucket {
-	if s.wheelCount == 0 {
-		// Re-base the wheel at the overflow's earliest event so upcoming
-		// inserts and migrations use the buckets again.
-		s.anchor(s.overflow[0].t)
-		s.drain()
-		if s.wheelCount == 0 {
-			// Saturated horizon (times near MaxInt64): serve from overflow.
-			return nil
+// appendItem adds it at the end of bucket b, taking a pooled chunk when
+// the tail chunk is full.
+func (s *scheduler) appendItem(b *bucket, it item) {
+	k := b.n & (chunkItems - 1)
+	if k == 0 {
+		var c int32
+		if f := len(s.freeChunks); f > 0 {
+			c = s.freeChunks[f-1]
+			s.freeChunks = s.freeChunks[:f-1]
+		} else {
+			c = int32(len(s.chunks))
+			s.chunks = append(s.chunks, chunk{})
 		}
+		if b.n == 0 {
+			b.head = c
+		} else {
+			s.chunks[b.tail].next = c
+		}
+		b.tail = c
 	}
-	for s.wheel[s.cursor].empty() {
+	s.chunks[b.tail].items[k] = it
+	b.n++
+}
+
+// peek locates the earliest queued event and returns its time; take then
+// removes it. Requires n > 0. Advancing the cursor here (past empty
+// buckets, or to a re-anchored window) is safe even when the caller then
+// stops at a deadline: later pushes before the new cursor go to the
+// behind heap.
+func (s *scheduler) peek() int64 {
+	if len(s.behind) > 0 {
+		s.src = srcBehind
+		return s.behind[0].t
+	}
+	for {
+		if s.runPos < len(s.run) {
+			if len(s.cursorHeap) > 0 && itemLess(s.cursorHeap[0], s.run[s.runPos]) {
+				s.src = srcCursor
+				return s.cursorHeap[0].t
+			}
+			s.src = srcRun
+			return s.run[s.runPos].t
+		}
+		if len(s.cursorHeap) > 0 {
+			s.src = srcCursor
+			return s.cursorHeap[0].t
+		}
+		if s.wheelCount == 0 {
+			// Only overflow events remain: re-base the window at the
+			// earliest of them.
+			s.anchor(s.overflow[0].t)
+			s.migrate()
+			if s.wheelCount == 0 {
+				// Saturated horizon (times near MaxInt64): serve from
+				// overflow.
+				s.src = srcOverflow
+				return s.overflow[0].t
+			}
+			s.gather()
+			continue
+		}
 		s.advance()
 	}
-	b := &s.wheel[s.cursor]
-	if len(s.overflow) > 0 && itemLess(s.overflow[0], b.peek()) {
-		return nil
-	}
-	return b
 }
 
-// recycle frees the popped item's slab slot and returns its payload. The
+// take removes the event peek located and recycles its slab slot. The
 // sequence number rides along so dispatch (and the determinism auditor's
 // digest) sees the full (t, seq) identity of the event it executes.
-func (s *scheduler) recycle(it item) (t int64, seq uint64, rec eventRec) {
+func (s *scheduler) take() (t int64, seq uint64, rec eventRec) {
+	var it item
+	switch s.src {
+	case srcRun:
+		it = s.run[s.runPos]
+		s.runPos++
+		s.wheelCount--
+	case srcCursor:
+		it = s.cursorHeap.pop()
+		s.wheelCount--
+	case srcBehind:
+		it = s.behind.pop()
+	default:
+		it = s.overflow.pop()
+	}
 	s.n--
 	r := &s.slab[it.slot]
 	rec = *r
@@ -293,95 +333,25 @@ func (s *scheduler) recycle(it item) (t int64, seq uint64, rec eventRec) {
 	return it.t, it.seq, rec
 }
 
-// takeBucket pops the earliest event from wheel bucket b.
-func (s *scheduler) takeBucket(b *bucket) (t int64, seq uint64, rec eventRec) {
-	it := b.pop()
-	s.wheelCount--
-	return s.recycle(it)
-}
-
-// takeOverflow pops the earliest event from the overflow heap.
-func (s *scheduler) takeOverflow() (t int64, seq uint64, rec eventRec) {
-	return s.recycle(s.overflow.pop())
-}
-
-// drainSortMin is the bucket depth at which batched dispatch switches from
-// popping the bucket to sorting it once and consuming the sorted run.
-// Shallow buckets (the common case at small scale — standing event
-// populations of tens) pop faster than they sort; deep buckets (large
-// fan-out topologies parking hundreds of contemporaneous events per
-// bucket) amortize one sort against a heap sift per event. A variable
-// (not a const) so tests can force both regimes and assert dispatch order
-// and profile attribution are batch-size invariant.
-var drainSortMin = 16
-
-// beginDrain prepares bucket b for a batched drain. Deep buckets move into
-// the drain buffer, sorted ascending by (t, seq), leaving b empty (spill
-// capacity is retained for mid-drain pushes); shallow buckets stay put —
-// the run loop then serves them min-first, which is the same order.
-// Buffered events stay part of the wheel for bookkeeping (wheelCount, n)
-// until takeDrained consumes them.
-func (s *scheduler) beginDrain(b *bucket) {
-	s.drainPos = 0
-	if b.size() < drainSortMin {
-		s.drainBuf = s.drainBuf[:0]
-		return
-	}
-	s.drainBuf = append(s.drainBuf[:0], b.inline[:b.ni]...)
-	s.drainBuf = append(s.drainBuf, b.spill...)
-	b.ni = 0
-	b.spill = b.spill[:0]
-	s.resorts++
-	slices.SortFunc(s.drainBuf, func(a, b item) int {
-		if itemLess(a, b) {
-			return -1
-		}
-		return 1
-	})
-}
-
-// takeDrained consumes the drain buffer's front event and recycles its
-// slab slot — the sorted-array counterpart of takeBucket.
-func (s *scheduler) takeDrained() (t int64, seq uint64, rec eventRec) {
-	it := s.drainBuf[s.drainPos]
-	s.drainPos++
-	s.wheelCount--
-	return s.recycle(it)
-}
-
-// endDrain returns unconsumed drained events to bucket b (deadline, halt,
-// or interrupt ended the batch early). A fully consumed buffer is a no-op.
-// Never called across a re-anchor: the buffer is provably empty by then
-// (re-anchoring requires the queue — which counts buffered events — to
-// have drained to zero).
-func (s *scheduler) endDrain(b *bucket) {
-	for _, it := range s.drainBuf[s.drainPos:] {
-		b.push(it)
-	}
-	s.drainBuf = s.drainBuf[:0]
-	s.drainPos = 0
-}
-
 // advance rotates the cursor to the next bucket, extending the horizon by
-// one bucket width and pulling newly covered overflow events in.
+// one bucket width, pulling newly covered overflow events into the bucket
+// that entered the window, and sorting the new cursor bucket.
 func (s *scheduler) advance() {
 	s.cursor = (s.cursor + 1) & wheelMask
-	s.cursorStart = satAdd(s.cursorStart, bucketWidth)
-	s.wheelEnd = satAdd(s.cursorStart, wheelSpan)
-	s.drain()
+	s.setCursorStart(satAdd(s.cursorStart, bucketWidth))
+	s.migrate()
+	s.gather()
 }
 
-// drain migrates overflow events that now fall inside the wheel window.
-// An overflow top behind the window (possible after the window jumped
-// ahead) blocks migration; the run loop serves it directly via comparison.
-func (s *scheduler) drain() {
-	for len(s.overflow) > 0 {
-		t := s.overflow[0].t
-		if t < s.cursorStart || t >= s.wheelEnd {
-			return
-		}
+// migrate appends the overflow events that now fall inside the window to
+// their buckets, in (t, seq) order. Every overflow event lies at or after
+// cursorStart, and each bucket it can reach is still empty of direct
+// pushes: it entered the window just now, or the window was just
+// re-anchored.
+func (s *scheduler) migrate() {
+	for len(s.overflow) > 0 && s.overflow[0].t < s.wheelEnd {
 		it := s.overflow.pop()
-		s.wheel[int(t>>wheelShift)&wheelMask].push(it)
+		s.appendItem(&s.wheel[int(it.t>>wheelShift)&wheelMask], it)
 		s.migrations++
 		s.wheelCount++
 		if s.wheelCount > s.maxWheel {
@@ -390,15 +360,80 @@ func (s *scheduler) drain() {
 	}
 }
 
-// bucketHeap is a 4-ary min-heap of items ordered by (t, seq). Values are
+// gather moves the cursor bucket's items into the run, returns its chunks
+// to the pool and sorts the run. The run is empty on entry.
+func (s *scheduler) gather() {
+	b := &s.wheel[s.cursor]
+	n := int(b.n)
+	if n == 0 {
+		return
+	}
+	run := s.run[:0]
+	for c := b.head; ; c = s.chunks[c].next {
+		k := min(n-len(run), chunkItems)
+		run = append(run, s.chunks[c].items[:k]...)
+		s.freeChunks = append(s.freeChunks, c)
+		if len(run) == n {
+			break
+		}
+	}
+	b.n = 0
+	if n <= insertionMax {
+		insertionSort(run)
+		s.insertionSorts++
+	} else {
+		run = s.countingSort(run)
+		s.countingSorts++
+	}
+	s.run, s.runPos = run, 0
+}
+
+func insertionSort(a []item) {
+	for i := 1; i < len(a); i++ {
+		x := a[i]
+		j := i
+		for ; j > 0 && itemLess(x, a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
+	}
+}
+
+// countingSort stably sorts one bucket's items by their offset within the
+// bucket. Stability keeps append order, which is seq order, among equal
+// times. The simdebug perturbation harness (PerturbSwapSeq) hands two
+// events each other's seq, breaking that premise on purpose, so simdebug
+// builds finish with an insertion pass — linear on a sorted run.
+func (s *scheduler) countingSort(run []item) []item {
+	var start [bucketWidth + 1]int32
+	for _, it := range run {
+		start[it.t&(bucketWidth-1)+1]++
+	}
+	for o := 1; o < len(start); o++ {
+		start[o] += start[o-1]
+	}
+	out := slices.Grow(s.spare[:0], len(run))[:len(run)]
+	for _, it := range run {
+		o := it.t & (bucketWidth - 1)
+		out[start[o]] = it
+		start[o]++
+	}
+	s.spare = run
+	if simDebug {
+		insertionSort(out)
+	}
+	return out
+}
+
+// itemHeap is a 4-ary min-heap of items ordered by (t, seq). Values are
 // stored inline (no pointers, no interface boxing) and the backing array
 // is retained across fill/drain cycles, so steady-state push/pop performs
 // no allocations. 4-ary trades slightly more comparisons per level for
-// half the depth and better cache behavior than binary. Used for bucket
-// spill storage and the overflow heap.
-type bucketHeap []item
+// half the depth and better cache behavior than binary. Used for the
+// cursor, behind and overflow heaps.
+type itemHeap []item
 
-func (h *bucketHeap) push(it item) {
+func (h *itemHeap) push(it item) {
 	s := append(*h, it)
 	i := len(s) - 1
 	for i > 0 {
@@ -412,7 +447,7 @@ func (h *bucketHeap) push(it item) {
 	*h = s
 }
 
-func (h *bucketHeap) pop() item {
+func (h *itemHeap) pop() item {
 	s := *h
 	top := s[0]
 	n := len(s) - 1

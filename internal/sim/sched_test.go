@@ -139,8 +139,37 @@ func TestWindowJumpThenNearEvent(t *testing.T) {
 	}
 }
 
-// TestScheduleZeroAllocSteadyState: once the slab and bucket arrays are
-// warm, the schedule → dispatch cycle must not allocate.
+// TestBatchReanchorOrder pins ordering across a window re-anchor inside
+// a handler. Scenario: the queue fully drains inside a handler, whose next
+// push re-anchors the wheel window; a second push then lands in a bucket
+// whose index aliases the bucket the cursor was serving. A run loop that
+// kept serving that bucket index past the re-anchor would pop the later
+// event first and regress the clock.
+func TestBatchReanchorOrder(t *testing.T) {
+	e := New()
+	tA := int64(bucketWidth) // lands in the bucket after the re-anchored cursor
+	tB := int64(wheelSpan)   // aliases bucket 0 in the re-anchored window
+	if int(tB>>wheelShift)&wheelMask != 0 {
+		t.Fatalf("test geometry broken: tB=%d does not alias bucket 0", tB)
+	}
+	var order []int64
+	e.At(0, func() {}) // companion: consumed first, so the queue is
+	// empty while the second handler runs
+	e.At(0, func() {
+		// n == 0 here: the first push below re-anchors the wheel window.
+		e.At(tA, func() { order = append(order, e.Now()) })
+		e.At(tB, func() { order = append(order, e.Now()) })
+	})
+	e.Run()
+	if len(order) != 2 || order[0] != tA || order[1] != tB {
+		t.Fatalf("events fired as %v, want [%d %d]", order, tA, tB)
+	}
+}
+
+// TestScheduleZeroAllocSteadyState: once the slab, chunk pool and run
+// buffers are warm, the schedule → dispatch cycle must not allocate —
+// for a lone event, and for bursts deep enough that every cycle takes
+// chunks from the pool, counting-sorts a bucket and returns the chunks.
 func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	e := New()
 	act := nopAction{}
@@ -154,6 +183,34 @@ func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+run allocates %.1f/op, want 0", allocs)
+	}
+
+	// One event anchors the window, then 40 in one later bucket (five
+	// chunks) and 24 more one per bucket.
+	burst := func() {
+		e.AtEvent(e.Now()+1, ClassOther, act, nil, 0)
+		base := e.Now() + 10*bucketWidth
+		for i := 0; i < 40; i++ {
+			e.AtEvent(base+int64(i%3), ClassOther, act, nil, 0)
+		}
+		for i := 1; i <= 24; i++ {
+			e.AtEvent(base+int64(i)*bucketWidth, ClassOther, act, nil, 0)
+		}
+		e.Run()
+	}
+	burst()
+	before := e.SchedPressure()
+	allocs = testing.AllocsPerRun(1000, burst)
+	after := e.SchedPressure()
+	if allocs != 0 {
+		t.Fatalf("steady-state burst allocates %.1f/op, want 0", allocs)
+	}
+	if after.ChunkPool != before.ChunkPool || after.ChunkPool < 5 || after.ChunksInUse != 0 {
+		t.Fatalf("chunk pool %d → %d (in use %d), want a fixed pool of at least 5 recycled chunks",
+			before.ChunkPool, after.ChunkPool, after.ChunksInUse)
+	}
+	if after.CountingSorts <= before.CountingSorts {
+		t.Fatal("burst never took the counting sort")
 	}
 }
 
@@ -189,19 +246,28 @@ func (q *refQueue) add(e *refEvent) { heap.Push(q, e) }
 
 // schedSpec is one root event of a differential run: its time, and the
 // delays of the followups its handler schedules (negative = in the past,
-// clamped to now).
+// clamped to now). A late root is pushed from outside the run loop, at
+// now + t, after one of the run windows (see runVsHeap).
 type schedSpec struct {
 	t         int64
 	followups []int64
+	late      bool
 }
 
 // runVsHeap drives the calendar-queue engine and the reference heap through
 // the same schedule and returns the first difference in execution order,
 // or "" when they agree. step > 0 runs the engine in RunUntil windows of
-// that width instead of one Run, so batches are cut short mid-bucket and
-// their unconsumed events go back to the bucket; the order must not move.
+// that width instead of one Run, so runs stop mid-bucket with the cursor
+// possibly ahead of the clock. After the k-th window the k-th late root is
+// pushed; one landing before the cursor exercises the behind-window path.
 func runVsHeap(specs []schedSpec, step int64) string {
 	n := len(specs)
+	var late []int
+	for i, s := range specs {
+		if s.late {
+			late = append(late, i)
+		}
+	}
 
 	// Run the real engine.
 	var gotOrder []int
@@ -225,13 +291,19 @@ func runVsHeap(specs []schedSpec, step int64) string {
 		})
 	}
 	for i, s := range specs {
-		schedule(i, s.t, s.followups)
+		if !s.late {
+			schedule(i, s.t, s.followups)
+		}
 	}
-	if step <= 0 {
-		e.Run()
-	} else {
-		for e.Pending() > 0 {
+	for k := 0; e.Pending() > 0 || k < len(late); k++ {
+		if step <= 0 {
+			e.Run()
+		} else {
 			e.RunUntil(e.Now() + step)
+		}
+		if k < len(late) {
+			s := specs[late[k]]
+			schedule(late[k], e.Now()+s.t, s.followups)
 		}
 	}
 
@@ -243,23 +315,38 @@ func runVsHeap(specs []schedSpec, step int64) string {
 	var rseq uint64
 	followupsOf := make(map[int][]int64, n)
 	for i, s := range specs {
-		rseq++
-		rq.add(&refEvent{t: s.t, seq: rseq, id: i})
 		followupsOf[i] = s.followups
+		if !s.late {
+			rseq++
+			rq.add(&refEvent{t: s.t, seq: rseq, id: i})
+		}
 	}
 	rNextID := n
-	for rq.Len() > 0 {
-		ev := rq.next()
-		rnow = ev.t
-		wantOrder = append(wantOrder, ev.id)
-		for _, d := range followupsOf[ev.id] {
-			at := rnow + d
-			if at < rnow {
-				at = rnow
+	for k := 0; rq.Len() > 0 || k < len(late); k++ {
+		deadline := int64(math.MaxInt64)
+		if step > 0 {
+			deadline = rnow + step
+		}
+		for rq.Len() > 0 && rq[0].t <= deadline {
+			ev := rq.next()
+			rnow = ev.t
+			wantOrder = append(wantOrder, ev.id)
+			for _, d := range followupsOf[ev.id] {
+				at := rnow + d
+				if at < rnow {
+					at = rnow
+				}
+				rseq++
+				rq.add(&refEvent{t: at, seq: rseq, id: rNextID})
+				rNextID++
 			}
+		}
+		if step > 0 {
+			rnow = deadline
+		}
+		if k < len(late) {
 			rseq++
-			rq.add(&refEvent{t: at, seq: rseq, id: rNextID})
-			rNextID++
+			rq.add(&refEvent{t: rnow + specs[late[k]].t, seq: rseq, id: late[k]})
 		}
 	}
 
@@ -306,20 +393,25 @@ func TestDifferentialVsHeap(t *testing.T) {
 			for f := rng.Intn(3); f > 0; f-- {
 				s.followups = append(s.followups, int64(rng.Intn(int(wheelSpan*3)))-bucketWidth)
 			}
+			// Odd trials run in RunUntil windows with some roots pushed
+			// between them.
+			s.late = trial%2 == 1 && rng.Intn(8) == 0
 			specs[i] = s
 		}
-		if msg := runVsHeap(specs, 0); msg != "" {
+		step := int64(trial%2) * 997 * int64(1+trial%7)
+		if msg := runVsHeap(specs, step); msg != "" {
 			t.Fatalf("trial %d: %s", trial, msg)
 		}
 	}
 }
 
 // FuzzSchedulerVsHeap is TestDifferentialVsHeap as a native fuzz target:
-// the fuzzer writes the schedule. Byte 0 picks the run mode (0 = one Run,
+// the fuzzer writes the schedule. Byte 0 picks the run mode (0 = Run,
 // else RunUntil windows of byte×997 ns). Each root event then reads a
 // control byte — low two bits the time class of the randomized test
 // (same-instant cluster, near future, overflow range, bucket boundary),
-// next two bits its followup count — and a 16-bit time operand, then a
+// next two bits its followup count, bit 4 a late root (its time is then a
+// delay from the clock at injection) — and a 16-bit time operand, then a
 // 16-bit delay operand per followup. Seeds live in
 // testdata/fuzz/FuzzSchedulerVsHeap.
 func FuzzSchedulerVsHeap(f *testing.F) {
@@ -367,7 +459,7 @@ func decodeSchedule(data []byte) ([]schedSpec, int64) {
 		default: // bucket-boundary adjacent
 			tt = max(0, (u>>2)%64*bucketWidth+u&3-1)
 		}
-		s := schedSpec{t: tt}
+		s := schedSpec{t: tt, late: ctl&16 != 0}
 		for k := ctl >> 2 & 3; k > 0; k-- {
 			d, ok := u16()
 			if !ok {

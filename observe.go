@@ -164,23 +164,28 @@ func (n *Net) registerPool(reg *telemetry.Registry) {
 }
 
 // registerSched exposes the calendar queue's pressure counters: where
-// pushes land (inline array, spill heap, overflow heap), structural churn
-// (migrations, re-sorts, re-anchors), and residency high-water marks.
+// pushes land (bucket append, sorted cursor bucket, outside the window),
+// how buckets are sorted, structural churn (migrations, re-anchors), and
+// residency high-water marks.
 func (n *Net) registerSched(reg *telemetry.Registry) {
 	for _, c := range []struct {
 		name, help string
 		read       func(sim.SchedPressure) float64
 	}{
-		{"oo_sched_inline_pushes_total", "Events pushed into a bucket's inline array.",
-			func(p sim.SchedPressure) float64 { return float64(p.InlinePushes) }},
-		{"oo_sched_spill_pushes_total", "Events pushed into a bucket's spill heap.",
-			func(p sim.SchedPressure) float64 { return float64(p.SpillPushes) }},
-		{"oo_sched_overflow_pushes_total", "Events pushed into the overflow heap.",
+		{"oo_sched_wheel_pushes_total", "Events appended to a wheel bucket.",
+			func(p sim.SchedPressure) float64 { return float64(p.WheelPushes) }},
+		{"oo_sched_cursor_pushes_total", "Events pushed into the sorted cursor bucket.",
+			func(p sim.SchedPressure) float64 { return float64(p.CursorPushes) }},
+		{"oo_sched_overflow_pushes_total", "Events pushed outside the wheel window.",
 			func(p sim.SchedPressure) float64 { return float64(p.OverflowPushes) }},
+		{"oo_sched_behind_pushes_total", "Events pushed behind the wheel window (part of overflow).",
+			func(p sim.SchedPressure) float64 { return float64(p.BehindPushes) }},
 		{"oo_sched_migrations_total", "Overflow→wheel event migrations.",
 			func(p sim.SchedPressure) float64 { return float64(p.Migrations) }},
-		{"oo_sched_resorts_total", "Drain-buffer sorts (batched dispatch).",
-			func(p sim.SchedPressure) float64 { return float64(p.Resorts) }},
+		{"oo_sched_insertion_sorts_total", "Buckets sorted by insertion sort.",
+			func(p sim.SchedPressure) float64 { return float64(p.InsertionSorts) }},
+		{"oo_sched_counting_sorts_total", "Buckets sorted by counting sort.",
+			func(p sim.SchedPressure) float64 { return float64(p.CountingSorts) }},
 		{"oo_sched_reanchors_total", "Wheel window re-anchors.",
 			func(p sim.SchedPressure) float64 { return float64(p.Reanchors) }},
 	} {
@@ -197,6 +202,10 @@ func (n *Net) registerSched(reg *telemetry.Registry) {
 		func() float64 { return float64(n.eng.SchedPressure().SlabCap) })
 	reg.GaugeFunc("oo_sched_free_slots", "Free event-slab slots.",
 		func() float64 { return float64(n.eng.SchedPressure().FreeSlots) })
+	reg.GaugeFunc("oo_sched_chunk_pool", "Bucket chunks allocated (high water of chunks in use).",
+		func() float64 { return float64(n.eng.SchedPressure().ChunkPool) })
+	reg.GaugeFunc("oo_sched_chunks_in_use", "Bucket chunks holding events.",
+		func() float64 { return float64(n.eng.SchedPressure().ChunksInUse) })
 	reg.DynamicFamily("oo_sched_bucket_occupancy_total",
 		"Pushes by resulting bucket depth (log2 classes).", telemetry.TypeCounter,
 		func(emit func([]telemetry.Label, float64)) {

@@ -53,8 +53,9 @@ fi
 
 # Pressure: push-rate split and the occupancy histogram must render.
 "$tmp/ooctl" engine pressure "$tmp/run.engine.json" >"$tmp/pressure.txt"
-grep -q 'inline' "$tmp/pressure.txt"
-grep -q 'spill' "$tmp/pressure.txt"
+grep -q 'pushes:    wheel=' "$tmp/pressure.txt"
+grep -q 'cursor=' "$tmp/pressure.txt"
+grep -q 'sorts:     insertion=' "$tmp/pressure.txt"
 grep -q 'bucket occupancy' "$tmp/pressure.txt"
 grep -q 'pool' "$tmp/pressure.txt"
 
